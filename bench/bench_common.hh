@@ -25,12 +25,6 @@
  *                 cxl-far:pages=K:lat=300" — lat marks a lower tier
  *                 (CPU-less unless cpu=1); overrides the canned
  *                 two-node build (see ExperimentConfig::topology)
- *   --shards N    worker threads ticking shard regions in epoch
- *                 lockstep (harness/shard.hh); 1 = the single-stack
- *                 engine and bit-identical legacy output
- *   --shard-regions R  pin the region decomposition independently of
- *                 --shards (0 = match --shards); results depend on R
- *                 only, never on the worker count
  *   --verbose     enable inform()/warn() logging + sweep progress
  *   PAGES         bare positional working-set size (backward compat)
  *
@@ -39,9 +33,10 @@
  * byte-identical with or without these flags (tests/test_trace.cc).
  *
  * Malformed spec-valued flags (--tenants, --sysctl, --qps, --arrival,
- * --slo) print the diagnostic from the spec parser — naming the bad
- * token — and exit with status 2, so scripts can tell "bad invocation"
- * from a simulator failure.
+ * --slo, --topology) and flag combinations ExperimentConfig::validate()
+ * refuses print the diagnostic — naming the bad token — and exit with
+ * status 2, so scripts can tell "bad invocation" from a simulator
+ * failure.
  */
 
 #ifndef TPP_BENCH_BENCH_COMMON_HH
@@ -90,10 +85,6 @@ struct BenchOptions {
     std::vector<std::pair<std::string, std::string>> sysctls;
     /** Open-loop traffic (--qps/--arrival/--slo); qps 0 = closed. */
     OpenLoopSpec openLoop;
-    /** Shard workers (--shards); 1 = legacy single-stack engine. */
-    std::uint32_t shards = 1;
-    /** Region decomposition (--shard-regions); 0 = match shards. */
-    std::uint32_t shardRegions = 0;
 };
 
 /** Exit status for malformed spec-valued flags (vs. 1 for fatals). */
@@ -137,10 +128,8 @@ printUsage(const char *argv0)
                 "       %*s [--sample-ms N] [--tenants SPEC] [--verbose]\n"
                 "       %*s [--sysctl NAME=VALUE] [--qps QPS]\n"
                 "       %*s [--arrival poisson|bursty|diurnal] [--slo US]\n"
-                "       %*s [--topology SPEC] [--shards N]\n"
-                "       %*s [--shard-regions R]\n",
-                argv0, pad, "", pad, "", pad, "", pad, "", pad, "",
-                pad, "");
+                "       %*s [--topology SPEC]\n",
+                argv0, pad, "", pad, "", pad, "", pad, "", pad, "");
 }
 
 /**
@@ -200,12 +189,6 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--slo") {
             opt.openLoop.sloP99Us =
                 specValueOrDie(parseSpecDouble(next(), 0.0, 1e9));
-        } else if (arg == "--shards") {
-            opt.shards = static_cast<std::uint32_t>(
-                parseCount("--shards", next()));
-        } else if (arg == "--shard-regions") {
-            opt.shardRegions = static_cast<std::uint32_t>(
-                parseCount("--shard-regions", next()));
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -222,7 +205,27 @@ parseBenchArgs(int argc, char **argv)
     return opt;
 }
 
-/** An ExperimentConfig carrying the shared options (wss, seed). */
+/**
+ * Reject a config the flags assembled into something invalid (a bad
+ * spec, or a combination validate() refuses) here, with the spec-flag
+ * exit status, instead of fataling mid-run: scripts can tell "bad
+ * invocation" from a simulator failure.
+ */
+inline void
+requireValid(const ExperimentConfig &cfg)
+{
+    if (SpecResult<void> valid = cfg.validate(); !valid) {
+        std::fprintf(stderr, "error: %s\n",
+                     valid.error().render().c_str());
+        std::exit(kBadSpecExit);
+    }
+}
+
+/**
+ * An ExperimentConfig carrying the shared options (wss, seed), checked
+ * with requireValid(). A binary that goes on to set fields the flags
+ * can contradict (withChameleon) checks its final config again.
+ */
 inline ExperimentConfig
 makeConfig(const BenchOptions &opt)
 {
@@ -250,17 +253,7 @@ makeConfig(const BenchOptions &opt)
             cfg.openLoop = opt.openLoop;
         }
     }
-    cfg.shards = opt.shards;
-    cfg.shardRegions = opt.shardRegions;
-    // Reject bad shard geometry (and any other bad spec the flags
-    // assembled) here, with the spec-flag exit status, instead of
-    // fataling mid-run: scripts can tell "bad invocation" from a
-    // simulator failure.
-    if (SpecResult<void> valid = cfg.validate(); !valid) {
-        std::fprintf(stderr, "error: %s\n",
-                     valid.error().render().c_str());
-        std::exit(kBadSpecExit);
-    }
+    requireValid(cfg);
     return cfg;
 }
 

@@ -37,6 +37,7 @@ main(int argc, char **argv)
         // 1-in-200 so per-interval sample counts stay comparable.
         cfg.chameleon.samplePeriod = 10;
         cfg.chameleon.dutyCycle = false;
+        bench::requireValid(cfg);
         cfgs.push_back(cfg);
     }
     const std::vector<ExperimentResult> results =

@@ -33,6 +33,7 @@ main(int argc, char **argv)
         cfg.allLocal = true;
         cfg.policy = "linux";
         cfg.withChameleon = true;
+        bench::requireValid(cfg);
         cfgs.push_back(cfg);
     }
     const std::vector<ExperimentResult> results =

@@ -233,11 +233,11 @@ BENCHMARK(BM_AdaptiveWindowTick);
 // ---------------------------------------------------------------------
 // End-to-end throughput: whole passes over a large footprint under TPP,
 // exercising fault, watermark reclaim/demotion, NUMA sampling and
-// promotion together — the paths the SoA frame table and the sharded
-// engine were built for. The footprint defaults to 2^18 pages (1 GiB)
-// so CI stays fast; set TPP_E2E_PAGES (e.g. 33554432 for a 32M-page,
-// 128 GiB machine) to reproduce the large-footprint numbers quoted in
-// README "Performance & perf gate".
+// promotion together — the paths the SoA frame table was built for.
+// The footprint defaults to 2^18 pages (1 GiB) so CI stays fast; set
+// TPP_E2E_PAGES (e.g. 33554432 for a 32M-page, 128 GiB machine) to
+// reproduce the large-footprint numbers quoted in README "Performance
+// & perf gate".
 // ---------------------------------------------------------------------
 
 /** Footprint for the BM_E2E* passes, in pages. */

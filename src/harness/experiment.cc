@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <unordered_map>
 
-#include "harness/shard.hh"
 #include "harness/sweep.hh"
 #include "hotness/hotness_policy.hh"
 #include "policy/adaptive/adaptive_policy.hh"
@@ -94,15 +93,6 @@ parseTenants(const std::string &spec)
     if (tenants.empty())
         return specError("--tenants spec names no tenants", spec);
     return tenants;
-}
-
-std::vector<TenantSpec>
-parseTenantsSpec(const std::string &spec)
-{
-    SpecResult<std::vector<TenantSpec>> tenants = parseTenants(spec);
-    if (!tenants)
-        tpp_fatal("%s", tenants.error().render().c_str());
-    return std::move(*tenants);
 }
 
 SpecResult<MemoryConfig>
@@ -227,80 +217,6 @@ ExperimentConfig::validate() const
         }
         if (auto topo = parseTopology(topology); !topo)
             return makeUnexpected(topo.error());
-        if (effectiveShardRegions() > 1) {
-            return specError("config topology and shards are mutually "
-                             "exclusive (regions slice the canned "
-                             "two-node machine)",
-                             topology);
-        }
-    }
-
-    if (shards == 0)
-        return specError("config shards must be >= 1", "0");
-    const std::uint32_t regions = effectiveShardRegions();
-    const std::uint64_t machine_pages = static_cast<std::uint64_t>(
-        static_cast<double>(wssPages) * capacityHeadroom);
-    if (regions > machine_pages) {
-        return specError("config shards exceed the machine's frame count "
-                         "(local + cxl = " +
-                             std::to_string(machine_pages) + " pages)",
-                         std::to_string(regions));
-    }
-    if (regions > 1) {
-        // Every region must be able to hold its own reclaim ladder: a
-        // region whose local tier is no larger than its high watermark
-        // would spend the whole run in direct reclaim (or fail to build
-        // at all). The proxy below repeats the machine-build math on
-        // the smallest region's share.
-        const std::uint64_t region_wss = wssPages / regions;
-        const std::uint64_t region_total = static_cast<std::uint64_t>(
-            static_cast<double>(region_wss) * capacityHeadroom);
-        const std::uint64_t region_local =
-            allLocal ? region_total
-                     : static_cast<std::uint64_t>(
-                           static_cast<double>(region_total) *
-                           localFraction);
-        const Watermarks wm = Watermarks::forCapacity(
-            std::max<std::uint64_t>(region_local, 1));
-        if (region_local <= wm.high) {
-            return specError(
-                "config shards slice regions smaller than one watermark "
-                "gap (region local tier " +
-                    std::to_string(region_local) +
-                    " pages <= high watermark " + std::to_string(wm.high) +
-                    ")",
-                std::to_string(regions));
-        }
-        if (!tenants.empty()) {
-            return specError("config shards and tenants are mutually "
-                             "exclusive (shard the single-workload path)",
-                             std::to_string(regions));
-        }
-        if (openLoop.enabled()) {
-            return specError("config shards and open-loop traffic are "
-                             "mutually exclusive",
-                             std::to_string(regions));
-        }
-        if (withChameleon) {
-            return specError("config shards and the Chameleon profiler "
-                             "are mutually exclusive",
-                             std::to_string(regions));
-        }
-        if (measureHotness) {
-            return specError("config shards and measureHotness are "
-                             "mutually exclusive",
-                             std::to_string(regions));
-        }
-        if (traceEnabled) {
-            return specError("config shards and tracing are mutually "
-                             "exclusive",
-                             std::to_string(regions));
-        }
-        if (sampleSeries) {
-            return specError("config shards and sampleSeries are "
-                             "mutually exclusive",
-                             std::to_string(regions));
-        }
     }
 
     const auto check_open_loop =
@@ -325,6 +241,11 @@ ExperimentConfig::validate() const
         return specError("config-level open loop and tenants are "
                          "mutually exclusive; give each tenant its own "
                          "qps= instead");
+    }
+    if (withChameleon && !tenants.empty()) {
+        return specError("config tenants and the Chameleon profiler are "
+                         "mutually exclusive (the profiler assumes one "
+                         "workload)");
     }
 
     std::uint64_t explicit_wss = 0;
@@ -351,6 +272,13 @@ ExperimentConfig::validate() const
                                      "tenant " + tenant.workload);
             !r) {
             return r;
+        }
+        if (tenant.wssPages == 0 && wssPages / tenants.size() == 0) {
+            return specError("tenant resolves to a zero-page working set "
+                             "(wssPages split " +
+                                 std::to_string(tenants.size()) +
+                                 " ways)",
+                             tenant.workload);
         }
         explicit_wss += tenant.wssPages;
     }
@@ -541,33 +469,64 @@ makeAdaptiveSloFeed(EventQueue &eq, Kernel &kernel,
 }
 
 /**
- * The multi-tenant variant of runExperiment: one workload per tenant,
- * each process attached to its own memory cgroup, all sharing one
- * kernel and one event queue. Kept separate so the single-workload
- * path stays textually untouched (and provably bit-identical).
+ * The tenants a config runs: cfg.tenants, or without them the config's
+ * own workload as one implicit tenant {workload, wssPages, openLoop}.
  */
-ExperimentResult
-runTenantExperiment(const ExperimentConfig &cfg)
+std::vector<TenantSpec>
+tenantsOf(const ExperimentConfig &cfg)
 {
-    if (cfg.withChameleon)
-        tpp_fatal("tenants and the Chameleon profiler are mutually "
-                  "exclusive (the profiler assumes one workload)");
+    if (!cfg.tenants.empty())
+        return cfg.tenants;
+    TenantSpec tenant;
+    tenant.workload = cfg.workload;
+    tenant.wssPages = cfg.wssPages;
+    tenant.openLoop = cfg.openLoop;
+    return {tenant};
+}
+
+/** A tenant's memory cgroup "t<index>-<workload>", configured. */
+CgroupId
+createTenantCgroup(MemcgController &memcg, std::size_t index,
+                   const TenantSpec &tenant, std::uint64_t wss)
+{
+    const CgroupId id =
+        memcg.create("t" + std::to_string(index) + "-" + tenant.workload);
+    MemCgroup &cg = memcg.cgroup(id);
+    cg.low = static_cast<std::uint64_t>(static_cast<double>(wss) *
+                                        tenant.lowFraction);
+    if (tenant.placement == "local_only")
+        cg.placement = MemcgPlacement::LocalOnly;
+    else if (tenant.placement == "cxl_only")
+        cg.placement = MemcgPlacement::CxlOnly;
+    memcg.setMigrationBudget(id, tenant.budgetMBps);
+    cg.sloP99Us = tenant.openLoop.sloP99Us;
+    return id;
+}
+
+} // namespace
+
+ExperimentResult
+runExperiment(const ExperimentConfig &cfg)
+{
+    if (const SpecResult<void> valid = cfg.validate(); !valid)
+        tpp_fatal("%s", valid.error().render().c_str());
+
+    // The implicit tenant of a config without tenants stays in the root
+    // cgroup: no cgroup is created for it and it gets no per-tenant row.
+    const bool implicit = cfg.tenants.empty();
+    const std::vector<TenantSpec> tenants = tenantsOf(cfg);
 
     // Resolve tenant working sets: explicit pages, or an equal share of
-    // the config's total.
+    // the config's total (validate() rejects a zero-page share).
     std::vector<std::uint64_t> wss;
     std::uint64_t total_wss = 0;
-    for (const TenantSpec &tenant : cfg.tenants) {
-        const std::uint64_t pages =
-            tenant.wssPages ? tenant.wssPages
-                            : cfg.wssPages / cfg.tenants.size();
-        if (pages == 0)
-            tpp_fatal("tenant '%s' resolves to a zero-page working set",
-                      tenant.workload.c_str());
-        wss.push_back(pages);
-        total_wss += pages;
+    for (const TenantSpec &tenant : tenants) {
+        wss.push_back(tenant.wssPages ? tenant.wssPages
+                                      : cfg.wssPages / tenants.size());
+        total_wss += wss.back();
     }
 
+    // Build the machine.
     const std::uint64_t total_pages = static_cast<std::uint64_t>(
         static_cast<double>(total_wss) * cfg.capacityHeadroom);
     const MemoryConfig mem_cfg = machineConfig(cfg, total_pages);
@@ -576,6 +535,10 @@ runTenantExperiment(const ExperimentConfig &cfg)
     MemorySystem mem(mem_cfg);
     Kernel kernel(mem, eq, makePolicy(cfg), MmCosts{}, cfg.migration);
 
+    // Telemetry attaches before anything is scheduled so the sampler's
+    // events always precede same-tick simulation events; both layers
+    // only observe, so results are bit-identical with them on or off
+    // (tests/test_trace.cc asserts this).
     if (cfg.traceEnabled) {
         kernel.trace().setCapacity(
             static_cast<std::size_t>(cfg.traceCapacity));
@@ -593,35 +556,32 @@ runTenantExperiment(const ExperimentConfig &cfg)
     // Cgroups exist before cfg.sysctls are applied, so a config can
     // also address the per-cgroup memcg.<name>.* knobs directly.
     MemcgController &memcg = kernel.memcg();
-    std::vector<CgroupId> cgids;
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        const TenantSpec &tenant = cfg.tenants[i];
-        names.push_back("t" + std::to_string(i) + "-" + tenant.workload);
-        const CgroupId id = memcg.create(names.back());
-        MemCgroup &cg = memcg.cgroup(id);
-        cg.low = static_cast<std::uint64_t>(
-            static_cast<double>(wss[i]) * tenant.lowFraction);
-        if (tenant.placement == "local_only")
-            cg.placement = MemcgPlacement::LocalOnly;
-        else if (tenant.placement == "cxl_only")
-            cg.placement = MemcgPlacement::CxlOnly;
-        else if (tenant.placement != "none")
-            tpp_fatal("tenant '%s': bad placement '%s'",
-                      tenant.workload.c_str(), tenant.placement.c_str());
-        memcg.setMigrationBudget(id, tenant.budgetMBps);
-        cg.sloP99Us = tenant.openLoop.sloP99Us;
-        cgids.push_back(id);
+    std::vector<CgroupId> cgids(tenants.size(), kRootCgroup);
+    if (!implicit) {
+        for (std::size_t i = 0; i < tenants.size(); ++i)
+            cgids[i] = createTenantCgroup(memcg, i, tenants[i], wss[i]);
     }
 
+    // Admin surface: apply requested sysctls before anything runs.
     for (const auto &[name, value] : cfg.sysctls) {
         if (!kernel.sysctl().set(name, value))
             tpp_fatal("sysctl %s=%s rejected", name.c_str(),
                       value.c_str());
     }
 
-    // Workload-side observers, shared by every tenant's workload.
+    // Workload-side observers, shared by every tenant's workload. Up to
+    // three consumers may want the access stream (the Chameleon
+    // profiler, which validate() allows only without tenants, a hotness
+    // source modelling a user-space profiler, and the hot-set ground
+    // truth); the single observer slot gets a fan-out lambda only when
+    // more than one is live, so the common single-consumer path stays
+    // flat.
     std::vector<AccessObserver> observers;
+    std::unique_ptr<Chameleon> chameleon;
+    if (cfg.withChameleon) {
+        chameleon = std::make_unique<Chameleon>(kernel, cfg.chameleon);
+        observers.push_back(chameleon->observer());
+    }
     if (auto *hotness = dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
         if (AccessObserver observer = hotness->accessObserver())
             observers.push_back(std::move(observer));
@@ -635,45 +595,46 @@ runTenantExperiment(const ExperimentConfig &cfg)
                         r.vpn]++;
         });
     }
+    AccessObserver observer;
+    if (observers.size() == 1) {
+        observer = observers.front();
+    } else if (observers.size() > 1) {
+        observer = [observers](const AccessRecord &r) {
+            for (const AccessObserver &each : observers)
+                each(r);
+        };
+    }
 
+    // Each tenant drives its own (possibly open-loop) request stream
+    // from its own workload seed; the arrival RNG is decorrelated per
+    // tenant.
     DriverConfig driver_cfg;
     driver_cfg.runUntil = cfg.runUntil;
     driver_cfg.measureFrom = cfg.measureFrom;
     driver_cfg.sampleEvery = cfg.sampleEvery;
-
     std::vector<std::unique_ptr<Workload>> workloads;
     std::vector<std::unique_ptr<WorkloadDriver>> drivers;
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
+    std::vector<const WorkloadDriver *> open_loop_drivers;
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
         workloads.push_back(WorkloadRegistry::instance().make(WorkloadSpec{
-            cfg.tenants[i].workload, wss[i], cfg.seed + i}));
+            tenants[i].workload, wss[i], cfg.seed + i}));
         workloads.back()->setTaskNode(mem.tiers().toptierNodes().front());
-        if (observers.size() == 1) {
-            workloads.back()->setObserver(observers.front());
-        } else if (observers.size() > 1) {
-            workloads.back()->setObserver(
-                [observers](const AccessRecord &r) {
-                    for (const AccessObserver &observer : observers)
-                        observer(r);
-                });
-        }
-        // Each tenant drives its own (possibly open-loop) request
-        // stream; the arrival RNG is decorrelated per tenant.
-        DriverConfig tenant_cfg = driver_cfg;
-        tenant_cfg.openLoop = cfg.tenants[i].openLoop;
-        tenant_cfg.openLoopSeed = arrivalSeed(cfg.seed + i);
+        workloads.back()->setObserver(observer);
+        driver_cfg.openLoop = tenants[i].openLoop;
+        driver_cfg.openLoopSeed = arrivalSeed(cfg.seed + i);
         drivers.push_back(std::make_unique<WorkloadDriver>(
-            kernel, *workloads.back(), tenant_cfg));
+            kernel, *workloads.back(), driver_cfg));
+        if (drivers.back()->openLoop())
+            open_loop_drivers.push_back(drivers.back().get());
     }
 
     // Live SLO feed for the adaptive tuner's tie-breaker objective.
-    std::vector<const WorkloadDriver *> open_loop_drivers;
-    for (const auto &driver : drivers)
-        if (driver->openLoop())
-            open_loop_drivers.push_back(driver.get());
     const std::unique_ptr<AdaptiveSloFeed> slo_feed = makeAdaptiveSloFeed(
         eq, kernel, std::move(open_loop_drivers), cfg.runUntil);
 
     kernel.start();
+    if (chameleon)
+        chameleon->start();
     // Each driver's init runs with the spawn cgroup pointed at its
     // tenant, so the processes a workload creates land in the right
     // cgroup without the workloads knowing cgroups exist.
@@ -686,22 +647,26 @@ runTenantExperiment(const ExperimentConfig &cfg)
 
     // Harvest: headline row first (aggregate over tenants).
     ExperimentResult result;
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        if (i)
+    for (const TenantSpec &tenant : tenants) {
+        if (!result.workload.empty())
             result.workload += '+';
-        result.workload += cfg.tenants[i].workload;
+        result.workload += tenant.workload;
     }
     result.policy = cfg.policy;
+    double latency_sum = 0.0;
     double latency_weight = 0.0;
     for (const auto &driver : drivers) {
         result.throughput += driver->throughput();
         const double ops = static_cast<double>(driver->measuredOps());
-        result.meanAccessLatencyNs +=
-            driver->meanAccessLatencyNs() * ops;
+        latency_sum += driver->meanAccessLatencyNs() * ops;
         latency_weight += ops;
     }
-    if (latency_weight > 0.0)
-        result.meanAccessLatencyNs /= latency_weight;
+    // A lone driver's mean is taken as is: x * n / n need not round
+    // back to x in floating point.
+    if (drivers.size() == 1)
+        result.meanAccessLatencyNs = drivers.front()->meanAccessLatencyNs();
+    else if (latency_weight > 0.0)
+        result.meanAccessLatencyNs = latency_sum / latency_weight;
     // Every driver sees the same kernel-global traffic window, so one
     // driver's view is the machine's.
     result.localTrafficShare = localShareOf(*drivers.front(), mem);
@@ -722,11 +687,11 @@ runTenantExperiment(const ExperimentConfig &cfg)
         localResidencyOf(kernel, mem, PageType::File);
     collectNodeRows(cfg, kernel, mem, *drivers.front(), &result);
 
-    // Per-tenant rows.
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
+    // Per-tenant rows, for explicit tenants only.
+    for (std::size_t i = 0; !implicit && i < tenants.size(); ++i) {
         TenantResult row;
-        row.name = names[i];
-        row.workload = cfg.tenants[i].workload;
+        row.name = memcg.cgroup(cgids[i]).name();
+        row.workload = tenants[i].workload;
         row.throughput = drivers[i]->throughput();
         row.meanAccessLatencyNs = drivers[i]->meanAccessLatencyNs();
         if (drivers[i]->openLoop()) {
@@ -736,8 +701,7 @@ runTenantExperiment(const ExperimentConfig &cfg)
                                drivers[i]->windowRequests() +
                                    drivers[i]->windowDropped(),
                                drivers[i]->windowSloMet());
-            row.openLoop =
-                harvestOpenLoop(*drivers[i], cfg.tenants[i].openLoop);
+            row.openLoop = harvestOpenLoop(*drivers[i], tenants[i].openLoop);
         }
         const MemCgroup &cg = memcg.cgroup(cgids[i]);
         row.pagesTotal = cg.usage();
@@ -762,7 +726,7 @@ runTenantExperiment(const ExperimentConfig &cfg)
         for (std::size_t i = 0; i < drivers.size(); ++i) {
             if (!drivers[i]->openLoop())
                 continue;
-            const OpenLoopSpec &spec = cfg.tenants[i].openLoop;
+            const OpenLoopSpec &spec = tenants[i].openLoop;
             any = true;
             merged.merge(drivers[i]->requestLatency());
             met += drivers[i]->windowSloMet();
@@ -803,13 +767,15 @@ runTenantExperiment(const ExperimentConfig &cfg)
     if (cfg.measureHotness) {
         // Tenant hot sets: each tenant's top pages by measured access
         // count, up to its *capacity share* of the local tier (a tenant
-        // is entitled to local_capacity * wss_i / total_wss pages).
+        // is entitled to local_capacity * wss_i / total_wss pages; the
+        // implicit tenant to all of it). Recall = the fraction of them
+        // the policy actually got (or kept) local by the end.
         std::uint64_t local_capacity = 0;
         for (NodeId nid : mem.tiers().toptierNodes())
             local_capacity += mem.node(nid).capacity();
 
         using Entry = std::pair<std::uint64_t, std::uint64_t>;
-        std::vector<std::vector<Entry>> per_tenant(cfg.tenants.size());
+        std::vector<std::vector<Entry>> per_tenant(tenants.size());
         std::unordered_map<CgroupId, std::size_t> by_cgid;
         for (std::size_t i = 0; i < cgids.size(); ++i)
             by_cgid[cgids[i]] = i;
@@ -848,11 +814,13 @@ runTenantExperiment(const ExperimentConfig &cfg)
                 if (mem.tiers().isToptier(mem.frame(as.pte(vpn).pfn).nid))
                     resident_local++;
             }
-            result.tenants[i].hotSetPages = considered;
-            result.tenants[i].hotSetRecall =
-                considered ? static_cast<double>(resident_local) /
-                                 static_cast<double>(considered)
-                           : 0.0;
+            if (!implicit) {
+                result.tenants[i].hotSetPages = considered;
+                result.tenants[i].hotSetRecall =
+                    considered ? static_cast<double>(resident_local) /
+                                     static_cast<double>(considered)
+                               : 0.0;
+            }
             considered_all += considered;
             resident_all += resident_local;
         }
@@ -861,174 +829,6 @@ runTenantExperiment(const ExperimentConfig &cfg)
             considered_all ? static_cast<double>(resident_all) /
                                  static_cast<double>(considered_all)
                            : 0.0;
-    }
-    return result;
-}
-
-} // namespace
-
-ExperimentResult
-runExperiment(const ExperimentConfig &cfg)
-{
-    if (const SpecResult<void> valid = cfg.validate(); !valid)
-        tpp_fatal("%s", valid.error().render().c_str());
-    if (cfg.effectiveShardRegions() > 1)
-        return runShardedExperiment(cfg);
-    if (!cfg.tenants.empty())
-        return runTenantExperiment(cfg);
-
-    // Build the machine.
-    const std::uint64_t total_pages = static_cast<std::uint64_t>(
-        static_cast<double>(cfg.wssPages) * cfg.capacityHeadroom);
-    const MemoryConfig mem_cfg = machineConfig(cfg, total_pages);
-
-    EventQueue eq;
-    MemorySystem mem(mem_cfg);
-    Kernel kernel(mem, eq, makePolicy(cfg), MmCosts{}, cfg.migration);
-
-    // Telemetry attaches before anything is scheduled so the sampler's
-    // events always precede same-tick simulation events; both layers
-    // only observe, so results are bit-identical with them on or off
-    // (tests/test_trace.cc asserts this).
-    if (cfg.traceEnabled) {
-        kernel.trace().setCapacity(
-            static_cast<std::size_t>(cfg.traceCapacity));
-        kernel.trace().enable();
-    }
-    std::unique_ptr<TimeSeriesSampler> sampler;
-    if (cfg.sampleSeries) {
-        const Tick period =
-            cfg.samplePeriod ? cfg.samplePeriod : cfg.sampleEvery;
-        sampler = std::make_unique<TimeSeriesSampler>(kernel, period,
-                                                      cfg.runUntil);
-        sampler->start();
-    }
-
-    // Admin surface: apply requested sysctls before anything runs.
-    for (const auto &[name, value] : cfg.sysctls) {
-        if (!kernel.sysctl().set(name, value))
-            tpp_fatal("sysctl %s=%s rejected", name.c_str(),
-                      value.c_str());
-    }
-
-    // Build the workload by registered name.
-    std::unique_ptr<Workload> workload = WorkloadRegistry::instance().make(
-        WorkloadSpec{cfg.workload, cfg.wssPages, cfg.seed});
-    workload->setTaskNode(mem.tiers().toptierNodes().front());
-
-    // Workload-side observers. Up to three consumers may want the
-    // access stream (the optional Chameleon profiler, a hotness source
-    // modelling a user-space profiler, and the hot-set ground truth);
-    // the single observer slot gets a fan-out lambda only when more
-    // than one is live, so the common single-consumer path stays flat.
-    std::vector<AccessObserver> observers;
-    std::unique_ptr<Chameleon> chameleon;
-    if (cfg.withChameleon) {
-        chameleon = std::make_unique<Chameleon>(kernel, cfg.chameleon);
-        observers.push_back(chameleon->observer());
-    }
-    if (auto *hotness = dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
-        if (AccessObserver observer = hotness->accessObserver())
-            observers.push_back(std::move(observer));
-    }
-    std::unordered_map<std::uint64_t, std::uint64_t> true_counts;
-    if (cfg.measureHotness) {
-        observers.push_back([&true_counts, &cfg](const AccessRecord &r) {
-            if (r.tick < cfg.measureFrom)
-                return;
-            true_counts[(static_cast<std::uint64_t>(r.asid) << 48) |
-                        r.vpn]++;
-        });
-    }
-    if (observers.size() == 1) {
-        workload->setObserver(observers.front());
-    } else if (observers.size() > 1) {
-        workload->setObserver([observers](const AccessRecord &r) {
-            for (const AccessObserver &observer : observers)
-                observer(r);
-        });
-    }
-
-    DriverConfig driver_cfg;
-    driver_cfg.runUntil = cfg.runUntil;
-    driver_cfg.measureFrom = cfg.measureFrom;
-    driver_cfg.sampleEvery = cfg.sampleEvery;
-    driver_cfg.openLoop = cfg.openLoop;
-    driver_cfg.openLoopSeed = arrivalSeed(cfg.seed);
-    WorkloadDriver driver(kernel, *workload, driver_cfg);
-
-    // Live SLO feed for the adaptive tuner's tie-breaker objective.
-    const std::unique_ptr<AdaptiveSloFeed> slo_feed =
-        driver.openLoop()
-            ? makeAdaptiveSloFeed(eq, kernel, {&driver}, cfg.runUntil)
-            : nullptr;
-
-    kernel.start();
-    if (chameleon)
-        chameleon->start();
-    driver.runToCompletion();
-
-    // Harvest results.
-    ExperimentResult result;
-    result.workload = cfg.workload;
-    result.policy = cfg.policy;
-    result.throughput = driver.throughput();
-    result.meanAccessLatencyNs = driver.meanAccessLatencyNs();
-    result.localTrafficShare = localShareOf(driver, mem);
-    result.cxlTrafficShare = 1.0 - result.localTrafficShare;
-    result.samples = driver.samples();
-    result.vmstat = kernel.vmstat();
-    result.meminfo = collectMemInfo(kernel);
-    if (driver.openLoop())
-        result.openLoop = harvestOpenLoop(driver, cfg.openLoop);
-    if (cfg.traceEnabled) {
-        result.trace = kernel.trace().snapshot();
-        result.traceEmitted = kernel.trace().emitted();
-        result.traceDropped = kernel.trace().dropped();
-    }
-    if (sampler)
-        result.series = sampler->takeSeries();
-
-    // Residency split at end of run.
-    result.anonLocalResidency =
-        localResidencyOf(kernel, mem, PageType::Anon);
-    result.fileLocalResidency =
-        localResidencyOf(kernel, mem, PageType::File);
-    collectNodeRows(cfg, kernel, mem, driver, &result);
-
-    if (cfg.measureHotness) {
-        // True hot set: the top pages by measured access count, as many
-        // as the local tier could hold. Recall = the fraction of them
-        // the policy actually got (or kept) local by the end.
-        std::uint64_t local_capacity = 0;
-        for (NodeId nid : mem.tiers().toptierNodes())
-            local_capacity += mem.node(nid).capacity();
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked(
-            true_counts.begin(), true_counts.end());
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.second != b.second ? a.second > b.second
-                                                  : a.first < b.first;
-                  });
-        if (ranked.size() > local_capacity)
-            ranked.resize(local_capacity);
-        std::uint64_t considered = 0;
-        std::uint64_t resident_local = 0;
-        for (const auto &[key, count] : ranked) {
-            const Asid asid = static_cast<Asid>(key >> 48);
-            const Vpn vpn = key & ((std::uint64_t{1} << 48) - 1);
-            const AddressSpace &as = kernel.addressSpace(asid);
-            if (vpn >= as.tableSize() || !as.pte(vpn).present())
-                continue;
-            considered++;
-            if (mem.tiers().isToptier(mem.frame(as.pte(vpn).pfn).nid))
-                resident_local++;
-        }
-        result.hotSetPages = considered;
-        result.hotSetRecall =
-            considered ? static_cast<double>(resident_local) /
-                             static_cast<double>(considered)
-                       : 0.0;
     }
 
     if (chameleon) {

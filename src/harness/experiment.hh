@@ -46,7 +46,7 @@ class PlacementPolicy;
 /**
  * One co-located tenant: a workload bound to its own memory cgroup.
  *
- * The textual form accepted by parseTenantsSpec (and the bench
+ * The textual form accepted by parseTenants (and the bench
  * binaries' --tenants flag) is `workload[:key=val]...` with tenants
  * separated by ';', e.g.
  *
@@ -204,70 +204,32 @@ struct ExperimentConfig : PolicyParams {
     bool measureHotness = false;
     /**
      * Multi-tenant co-location: one workload per entry, each in its own
-     * memory cgroup (src/mm/memcg). Empty (the default) runs the
-     * single-workload path above, bit-identical to a build without
-     * cgroups. Tenant working sets default to equal shares of wssPages.
+     * memory cgroup (src/mm/memcg), all sharing one kernel. Empty (the
+     * default) runs `workload` as the one implicit tenant
+     * {workload, wssPages, openLoop}, which stays in the root cgroup and
+     * gets no per-tenant row. Tenant working sets default to equal
+     * shares of wssPages. The Chameleon profiler only runs without
+     * tenants.
      */
     std::vector<TenantSpec> tenants;
     /**
-     * Open-loop traffic for the single-workload path: requests arrive
-     * on the configured process at `qps` regardless of service latency,
-     * so queueing delay shows up in the tail instead of throttling the
-     * offered load. Disabled (qps 0) keeps the closed-loop driver and
-     * bit-identical results. Mutually exclusive with `tenants` — give
-     * each tenant its own spec there instead.
+     * Open-loop traffic for the implicit tenant: requests arrive on the
+     * configured process at `qps` regardless of service latency, so
+     * queueing delay shows up in the tail instead of throttling the
+     * offered load. Disabled (qps 0) keeps the closed-loop driver.
+     * Mutually exclusive with `tenants` — give each tenant its own spec
+     * there instead.
      */
     OpenLoopSpec openLoop;
-    /**
-     * Address-space sharding (harness/shard.hh): worker threads ticking
-     * shard regions in epoch lockstep. 1 (the default) keeps today's
-     * single-stack engine and bit-identical results. Because regions
-     * are fully isolated between epoch barriers, the thread count only
-     * changes *when* a region computes, never *what*: for a fixed
-     * region decomposition, every shard count produces identical
-     * results (tests/test_shard.cc pins this).
-     */
-    std::uint32_t shards = 1;
-    /**
-     * Number of shard regions the VPN space is partitioned into; 0 (the
-     * default) matches `shards`. Pin this while varying `shards` to
-     * change parallelism without changing the simulated machine.
-     */
-    std::uint32_t shardRegions = 0;
-
-    /** @return the region count the run will actually decompose into. */
-    std::uint32_t
-    effectiveShardRegions() const
-    {
-        return shardRegions ? shardRegions : shards;
-    }
 
     /**
      * Check the config before building a machine for it: capacity and
-     * fraction ranges, measurement-window ordering, tenant working-set
-     * budgets, open-loop parameters and shard-region geometry.
+     * fraction ranges, measurement-window ordering, tenant working sets
+     * and observer combinations, and open-loop parameters.
      * runExperiment() fatals on a failed validation; SweepRunner
      * rejects just the offending config.
      */
     SpecResult<void> validate() const;
-};
-
-/**
- * Accounting of one sharded run (harness/shard.hh): region/worker
- * geometry plus what the epoch-boundary synchroniser observed and did.
- * All-zero (regions == 0) for unsharded runs.
- */
-struct ShardStats {
-    std::uint32_t regions = 0;  //!< address-space regions simulated
-    std::uint32_t workers = 0;  //!< threads that ticked them
-    std::uint64_t epochs = 0;   //!< epoch barriers crossed
-    /** Region-epochs that ended below the local low watermark. */
-    std::uint64_t regionLowWatermarkEpochs = 0;
-    /** Epochs where at least one region was below its low watermark. */
-    std::uint64_t pressureEpochs = 0;
-    /** MB/s of migration-admission budget moved between regions by the
-     *  epoch synchroniser (cfg.migration.rateLimitMBps > 0). */
-    double rebalancedMBps = 0.0;
 };
 
 /**
@@ -322,11 +284,9 @@ struct ExperimentResult {
     std::vector<NodeResult> nodes;
     /** Per-tenant rows, in cfg.tenants order (empty otherwise). */
     std::vector<TenantResult> tenants;
-    /** Open-loop tail-latency summary (cfg.openLoop / tenant qps);
-     *  merged across tenants on the multi-tenant path. */
+    /** Open-loop tail-latency summary (cfg.openLoop / tenant qps),
+     *  merged across every tenant that ran open loop. */
     OpenLoopResult openLoop;
-    /** Shard-engine accounting (zero for unsharded runs). */
-    ShardStats shard;
     /**
      * Non-empty when the run was rejected without being simulated
      * (SweepRunner::run on a config whose validate() failed). All
@@ -345,9 +305,6 @@ struct ExperimentResult {
  */
 SpecResult<std::vector<TenantSpec>> parseTenants(const std::string &spec);
 
-/** Compatibility wrapper over parseTenants(); fatal() on bad input. */
-std::vector<TenantSpec> parseTenantsSpec(const std::string &spec);
-
 /**
  * Parse a --topology spec (see ExperimentConfig::topology) into a
  * machine description. Errors come back as values naming the offending
@@ -361,7 +318,11 @@ SpecResult<MemoryConfig> parseTopology(const std::string &spec);
  */
 std::unique_ptr<PlacementPolicy> makePolicy(const ExperimentConfig &cfg);
 
-/** Run one experiment to completion. */
+/**
+ * Run one experiment to completion: build the machine, start every
+ * tenant's driver (the implicit one when cfg.tenants is empty), run
+ * the event queue to cfg.runUntil and harvest the result.
+ */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
 
 /**

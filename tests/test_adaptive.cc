@@ -8,8 +8,8 @@
  * Golden half: vm.adaptive.enable=0 must make the policy a pass-through
  * TppPolicy with no scheduled events, so the "adaptive" policy with the
  * tuner off reproduces the static-tpp golden fingerprints bit-for-bit,
- * matches a plain tpp run on every vmstat counter (async engine and
- * --shards 4 included), and the mere presence of the subsystem leaves
+ * matches a plain tpp run on every vmstat counter (async engine
+ * included), and the mere presence of the subsystem leaves
  * the linux/hotness baselines untouched.
  *
  * Convergence half: on a stationary workload the hill climber must
@@ -86,7 +86,7 @@ TEST(AdaptiveScore, WeightsScaleLinearly)
 
 // ---- golden-fingerprint pins ---------------------------------------
 
-/** Hash of every vmstat counter, matching test_shard.cc. */
+/** Hash of every vmstat counter. */
 std::uint64_t
 vmHash(const VmStat &vmstat)
 {
@@ -206,29 +206,6 @@ INSTANTIATE_TEST_SUITE_P(Golden, AdaptiveDisabledMatchesTpp,
                          [](const auto &info) {
                              return std::string(info.param);
                          });
-
-TEST(AdaptiveGolden, ShardedDisabledMatchesTpp)
-{
-    // The invariance must survive the shard engine too: 4 regions, 4
-    // workers, static tpp vs adaptive-off, every counter identical.
-    ExperimentConfig base = smallConfig("tpp");
-    base.migration = MigrationConfig::compat();
-    base.shards = 4;
-    base.shardRegions = 4;
-    const ExperimentResult tpp_run = runExperiment(base);
-
-    ExperimentConfig off = base;
-    off.policy = "adaptive";
-    const ExperimentResult adaptive_run = runExperiment(off);
-
-    EXPECT_EQ(tpp_run.shard.regions, 4u);
-    EXPECT_EQ(adaptive_run.shard.regions, 4u);
-    EXPECT_EQ(tpp_run.throughput, adaptive_run.throughput);
-    EXPECT_EQ(tpp_run.meanAccessLatencyNs,
-              adaptive_run.meanAccessLatencyNs);
-    EXPECT_EQ(vmHash(tpp_run.vmstat), vmHash(adaptive_run.vmstat));
-    expectAdaptiveSilent(adaptive_run.vmstat, "sharded");
-}
 
 TEST(AdaptiveGolden, HotnessBaselineIsDeterministicWithAdaptiveLinked)
 {

@@ -274,14 +274,26 @@ TEST(Validate, RejectionTable)
         {"config open loop with tenants",
          [](ExperimentConfig &c) {
              c.openLoop.qps = 1e5;
-             c.tenants = parseTenantsSpec("web;churn");
+             c.tenants = *parseTenants("web;churn");
          },
          "mutually exclusive"},
         {"tenant wss oversubscribed",
          [](ExperimentConfig &c) {
-             c.tenants = parseTenantsSpec("web:wss=1500;dwh:wss=1500");
+             c.tenants = *parseTenants("web:wss=1500;dwh:wss=1500");
          },
          "wss"},
+        {"tenants with the Chameleon profiler",
+         [](ExperimentConfig &c) {
+             c.withChameleon = true;
+             c.tenants = *parseTenants("web;churn");
+         },
+         "Chameleon"},
+        {"tenant resolves to zero pages",
+         [](ExperimentConfig &c) {
+             c.wssPages = 2;
+             c.tenants = *parseTenants("web;churn;dwh");
+         },
+         "zero-page working set"},
     };
     for (const Case &c : cases) {
         ExperimentConfig cfg = tinyConfig();
@@ -361,7 +373,7 @@ TEST(OpenLoopRun, TenantSloFlowsIntoMemcg)
     cfg.wssPages = 4096;
     cfg.policy = "tpp";
     cfg.tenants =
-        parseTenantsSpec("web:qps=50000:slo=100000;churn");
+        *parseTenants("web:qps=50000:slo=100000;churn");
     const ExperimentResult r = runExperiment(cfg);
 
     ASSERT_EQ(r.tenants.size(), 2u);
@@ -413,7 +425,7 @@ TEST(GoldenFingerprint, TenantClosedLoop)
     cfg.localFraction = 0.4;
     cfg.runUntil = 6 * kSecond;
     cfg.measureFrom = 3 * kSecond;
-    cfg.tenants = parseTenantsSpec("cache1:low=0.5;churn");
+    cfg.tenants = *parseTenants("cache1:low=0.5;churn");
     const ExperimentResult r = runExperiment(cfg);
 
     EXPECT_EQ(r.throughput, 1492679.134195684);
@@ -427,6 +439,49 @@ TEST(GoldenFingerprint, TenantClosedLoop)
     EXPECT_EQ(r.tenants[1].meanAccessLatencyNs, 139.27323423578116);
     EXPECT_EQ(r.tenants[1].pagesLocal, 978u);
     EXPECT_EQ(r.tenants[1].pagesTotal, 2553u);
+}
+
+TEST(GoldenFingerprint, SingleWorkloadHarvest)
+{
+    // The single-workload outputs the harvest computes beyond the
+    // headline numbers: hot-set recall, the open-loop tail summary, the
+    // Chameleon profile and the sampler series. Captured with %.17g
+    // before the single-workload and tenant loops were merged.
+    setLogVerbose(false);
+    ExperimentConfig cfg;
+    cfg.workload = "web";
+    cfg.policy = "tpp";
+    cfg.wssPages = 4096;
+    cfg.localFraction = 0.5;
+    cfg.runUntil = 6 * kSecond;
+    cfg.measureFrom = 3 * kSecond;
+
+    ExperimentConfig open = cfg;
+    open.measureHotness = true;
+    open.openLoop.qps = 2e5;
+    open.openLoop.sloP99Us = 50.0;
+    const ExperimentResult o = runExperiment(open);
+    EXPECT_EQ(o.throughput, 200189.78297693058);
+    EXPECT_EQ(o.meanAccessLatencyNs, 86.326363122650022);
+    EXPECT_EQ(o.hotSetRecall, 0.65312190287413285);
+    EXPECT_EQ(o.hotSetPages, 2018u);
+    ASSERT_TRUE(o.openLoop.enabled);
+    EXPECT_EQ(o.openLoop.requests, 600569u);
+    EXPECT_EQ(o.openLoop.p99Ns, 5761.6746245058985);
+    EXPECT_EQ(o.openLoop.p999Ns, 77328.974769234657);
+    EXPECT_EQ(o.openLoop.sloAttainment, 0.99775046664080236);
+    EXPECT_EQ(o.openLoop.goodputQps, 199739.44938195343);
+    EXPECT_EQ(o.openLoop.meanQueueDepth, 0.85879602862715931);
+    EXPECT_TRUE(o.tenants.empty());
+
+    ExperimentConfig profiled = cfg;
+    profiled.withChameleon = true;
+    profiled.sampleSeries = true;
+    const ExperimentResult c = runExperiment(profiled);
+    EXPECT_EQ(c.chameleonIntervals.size(), 6u);
+    EXPECT_EQ(c.chameleonHotFraction, 0.19561638712425625);
+    EXPECT_EQ(c.series.size(), 60u);
+    EXPECT_TRUE(c.tenants.empty());
 }
 
 } // namespace

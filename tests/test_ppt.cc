@@ -11,8 +11,7 @@
  * Golden half: vm.ppt.enable=0 must be a single branch with no state,
  * so explicitly setting it reproduces the pre-PPT golden fingerprints
  * bit-for-bit (the same constants test_migration_compat.cc pins), a
- * plain run matches an explicit-off run for tpp/linux/hotness, and the
- * invariance holds under the sharded engine (--shards 4) too.
+ * plain run matches an explicit-off run for tpp/linux/hotness.
  */
 
 #include <string>
@@ -288,7 +287,7 @@ TEST_F(PptUnit, LiveHistoryShrinkEvictsColdestFirst)
 
 // ---- golden-fingerprint pins ---------------------------------------
 
-/** Hash of every vmstat counter, matching test_shard.cc. */
+/** Hash of every vmstat counter. */
 std::uint64_t
 vmHash(const VmStat &vmstat)
 {
@@ -399,28 +398,6 @@ INSTANTIATE_TEST_SUITE_P(Golden, PptDefaultOff,
                          [](const auto &info) {
                              return std::string(info.param);
                          });
-
-TEST(PptGolden, ShardedRunIsUnchangedByExplicitOff)
-{
-    // The invariance must survive the shard engine too: 4 regions, 4
-    // workers, plain vs pinned-off, every counter identical.
-    ExperimentConfig base = offConfig("tpp");
-    base.migration = MigrationConfig::compat();
-    base.shards = 4;
-    base.shardRegions = 4;
-    const ExperimentResult plain = runExperiment(base);
-
-    ExperimentConfig pinned = base;
-    pinned.sysctls.emplace_back("vm.ppt.enable", "0");
-    const ExperimentResult off = runExperiment(pinned);
-
-    EXPECT_EQ(plain.shard.regions, 4u);
-    EXPECT_EQ(plain.throughput, off.throughput);
-    EXPECT_EQ(plain.meanAccessLatencyNs, off.meanAccessLatencyNs);
-    EXPECT_EQ(vmHash(plain.vmstat), vmHash(off.vmstat));
-    expectPptSilent(plain.vmstat, "sharded");
-    expectPptSilent(off.vmstat, "sharded");
-}
 
 TEST(PptEndToEnd, ThrottleEngagesAndCutsMigrationOnChurn)
 {

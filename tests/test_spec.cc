@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/experiment.hh"
 #include "harness/spec.hh"
 
 namespace {
@@ -272,93 +271,6 @@ TEST(Spec, ExpectedValueAndError)
     ASSERT_FALSE(bool(e));
     EXPECT_EQ(e.error().message, "boom");
     EXPECT_EQ(e.error().token, "tok");
-}
-
-// ---------------------------------------------------------------------
-// Shard geometry: ExperimentConfig::validate() rejects bad region
-// decompositions, naming the offending value. Before the checks landed
-// these configs sailed through validate() and fataled (or built
-// degenerate zero-capacity nodes) deep inside the machine build; bench
-// binaries now refuse them with the spec-flag exit status (2) instead.
-// ---------------------------------------------------------------------
-
-TEST(Spec, ShardGeometryRejectionTable)
-{
-    struct Case {
-        const char *tag;
-        std::uint32_t shards;
-        std::uint32_t regions;
-        std::uint64_t wssPages;
-        const char *needle; //!< must appear in render()
-        const char *token;  //!< bad value validate() must quote
-    };
-    const Case cases[] = {
-        // Zero workers can tick nothing.
-        {"zero_shards", 0, 0, 8192, "shards must be >= 1", "0"},
-        // More regions than the machine has frames (local + cxl).
-        {"regions_beyond_frames", 4096, 0, 1024,
-         "exceed the machine's frame count", "4096"},
-        // Slicing 8192 pages 512 ways leaves each region's local tier
-        // (~10 pages) inside its own watermark ladder: the region
-        // would live in direct reclaim from the first fault.
-        {"region_below_watermark_gap", 512, 0, 8192,
-         "smaller than one watermark gap", "512"},
-        // Same rejection when the decomposition comes from
-        // shardRegions rather than the worker count.
-        {"pinned_regions_below_gap", 1, 512, 8192,
-         "smaller than one watermark gap", "512"},
-    };
-    for (const Case &c : cases) {
-        ExperimentConfig cfg;
-        cfg.wssPages = c.wssPages;
-        cfg.shards = c.shards;
-        cfg.shardRegions = c.regions;
-        const SpecResult<void> valid = cfg.validate();
-        ASSERT_FALSE(bool(valid)) << c.tag;
-        EXPECT_NE(valid.error().render().find(c.needle),
-                  std::string::npos)
-            << c.tag << " -> " << valid.error().render();
-        EXPECT_EQ(valid.error().token, c.token) << c.tag;
-    }
-
-    // The boundary holds in the other direction: geometries every test
-    // and bench actually uses stay accepted.
-    for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-        ExperimentConfig cfg;
-        cfg.wssPages = 8192;
-        cfg.shards = shards;
-        EXPECT_TRUE(bool(cfg.validate())) << shards;
-    }
-}
-
-TEST(Spec, ShardsRejectIncompatibleObservers)
-{
-    // The shard engine simulates R isolated machines; the single-stack
-    // observers (profiler, tracing, series, hot-set truth, open loop,
-    // tenants) have no aggregate story yet and are refused up front.
-    const auto reject = [](void (*mutate)(ExperimentConfig &),
-                           const char *needle) {
-        ExperimentConfig cfg;
-        cfg.wssPages = 8192;
-        cfg.shards = 4;
-        mutate(cfg);
-        const SpecResult<void> valid = cfg.validate();
-        ASSERT_FALSE(bool(valid)) << needle;
-        EXPECT_NE(valid.error().render().find(needle), std::string::npos)
-            << valid.error().render();
-    };
-    reject([](ExperimentConfig &c) { c.tenants.push_back({"web"}); },
-           "tenants");
-    reject([](ExperimentConfig &c) { c.openLoop.qps = 1e5; },
-           "open-loop");
-    reject([](ExperimentConfig &c) { c.withChameleon = true; },
-           "Chameleon");
-    reject([](ExperimentConfig &c) { c.measureHotness = true; },
-           "measureHotness");
-    reject([](ExperimentConfig &c) { c.traceEnabled = true; },
-           "tracing");
-    reject([](ExperimentConfig &c) { c.sampleSeries = true; },
-           "sampleSeries");
 }
 
 } // namespace

@@ -352,7 +352,7 @@ TEST(Sweep, RejectsOneBadConfigAndRunsTheRest)
     // diagnostic and still run the other one.
     ExperimentConfig good = smallConfig("web", "linux", "1:1");
     ExperimentConfig bad = smallConfig("web", "linux", "1:1");
-    bad.tenants = parseTenantsSpec("web:wss=4000;dwh:wss=4000");
+    bad.tenants = *parseTenants("web:wss=4000;dwh:wss=4000");
 
     SweepOptions opts;
     opts.jobs = 1;
