@@ -63,15 +63,25 @@ BM_RngNext(benchmark::State &state)
 }
 BENCHMARK(BM_RngNext);
 
+/** Args: population n, theta in thousandths. The steady state is timed,
+ *  so the sampler's bucket table is built and serving draws. */
 void
 BM_ZipfSample(benchmark::State &state)
 {
     Rng rng(42);
-    ZipfDistribution zipf(static_cast<std::uint64_t>(state.range(0)), 0.99);
+    ZipfDistribution zipf(static_cast<std::uint64_t>(state.range(0)),
+                          static_cast<double>(state.range(1)) / 1000.0);
     for (auto _ : state)
         benchmark::DoNotOptimize(zipf(rng));
 }
-BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(1048576);
+// 1024 and 2^20 at the YCSB default skew, then cache1's two hot windows
+// at the default working set (heap: 3145 pages, store: 6225 pages).
+BENCHMARK(BM_ZipfSample)
+    ->ArgNames({"n", "theta_milli"})
+    ->Args({1024, 990})
+    ->Args({1048576, 990})
+    ->Args({3145, 900})
+    ->Args({6225, 990});
 
 void
 BM_EventQueueScheduleRun(benchmark::State &state)

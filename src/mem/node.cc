@@ -8,8 +8,6 @@
 namespace tpp {
 
 namespace {
-/** Bandwidth EWMA window length. */
-constexpr Tick kTrafficWindow = 1 * kMillisecond;
 /** EWMA smoothing factor per window. */
 constexpr double kUtilAlpha = 0.3;
 } // namespace
@@ -107,20 +105,6 @@ MemoryNode::decayTraffic(Tick now) const
             break;
         }
     }
-}
-
-void
-MemoryNode::recordTraffic(Tick now, std::uint64_t bytes)
-{
-    decayTraffic(now);
-    windowBytes_ += static_cast<double>(bytes);
-}
-
-double
-MemoryNode::utilization(Tick now) const
-{
-    decayTraffic(now);
-    return utilEwma_;
 }
 
 } // namespace tpp

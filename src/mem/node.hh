@@ -128,15 +128,31 @@ class MemoryNode
      * Bandwidth accounting: record bytes moved to/from this node so the
      * latency model can inflate under load.
      */
-    void recordTraffic(Tick now, std::uint64_t bytes);
+    void
+    recordTraffic(Tick now, std::uint64_t bytes)
+    {
+        if (now >= trafficWindowStart_ + kTrafficWindow)
+            decayTraffic(now);
+        windowBytes_ += static_cast<double>(bytes);
+    }
 
     /**
      * Estimated utilisation of the node's bandwidth in [0, 1], an EWMA
      * over ~1 ms windows.
      */
-    double utilization(Tick now) const;
+    double
+    utilization(Tick now) const
+    {
+        if (now >= trafficWindowStart_ + kTrafficWindow)
+            decayTraffic(now);
+        return utilEwma_;
+    }
 
   private:
+    /** Bandwidth EWMA window length. */
+    static constexpr Tick kTrafficWindow = 1 * kMillisecond;
+
+    /** Fold the windows that ended by `now` into the EWMA. */
     void decayTraffic(Tick now) const;
 
     NodeId id_;

@@ -29,7 +29,21 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** @return the next raw 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** UniformRandomBitGenerator interface. */
     result_type operator()() { return next(); }
@@ -38,21 +52,49 @@ class Rng
     static constexpr result_type max() { return ~0ULL; }
 
     /** @return an unbiased integer in [0, bound). bound must be > 0. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        // Lemire-style rejection to avoid modulo bias.
+        std::uint64_t threshold = (0 - bound) % bound;
+        for (;;) {
+            std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** @return an integer uniform in [lo, hi] inclusive. */
     std::uint64_t nextRange(std::uint64_t lo, std::uint64_t hi);
 
     /** @return a double uniform in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return true with probability p (p clamped to [0,1]). */
-    bool nextBool(double p);
+    bool
+    nextBool(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /** Split off an independent child stream (for sub-components). */
     Rng split();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

@@ -128,27 +128,29 @@ SyntheticWorkload::refreshPhaseWeights(Tick now)
     }
 }
 
-Vpn
-SyntheticWorkload::sampleRegionVpn(RegionState &region, Tick now)
-{
-    const RegionSpec &spec = region.spec;
-    const std::uint64_t active = activePages(region, now);
-    std::uint64_t hot_pages = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(spec.hotFraction *
-                                      static_cast<double>(active)));
+namespace {
 
-    std::uint64_t offset;
-    const double roll = rng_.nextDouble();
-    if (roll < spec.hotAccessShare + spec.echoShare) {
-        // Rebuild the Zipf sampler only when the hot-set size moved
-        // noticeably; construction is cheap but not free.
-        if (!region.zipf ||
-            (region.cachedHotPages != hot_pages &&
-             (hot_pages > region.cachedHotPages + region.cachedHotPages / 64 ||
-              hot_pages + hot_pages / 64 < region.cachedHotPages))) {
-            region.zipf.emplace(hot_pages, spec.zipfTheta);
-            region.cachedHotPages = hot_pages;
-        }
+/** v % active, without a division when v < 2 * active. */
+std::uint64_t
+wrapActive(std::uint64_t v, std::uint64_t active)
+{
+    if (v < active)
+        return v;
+    const std::uint64_t w = v - active;
+    return w < active ? w : v % active;
+}
+
+} // namespace
+
+void
+SyntheticWorkload::prepareBatch(Tick now)
+{
+    for (RegionState &region : regions_) {
+        const RegionSpec &spec = region.spec;
+        const std::uint64_t active = activePages(region, now);
+        const std::uint64_t hot_pages = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(spec.hotFraction *
+                                          static_cast<double>(active)));
         std::uint64_t hot_start = 0;
         if (spec.hotFollowsGrowth && active > hot_pages)
             hot_start = active - hot_pages;
@@ -162,16 +164,51 @@ SyntheticWorkload::sampleRegionVpn(RegionState &region, Tick now)
                              static_cast<double>(steps) * step_pages)) %
                         active;
         }
-        if (roll < spec.hotAccessShare) {
-            offset = (hot_start + (*region.zipf)(rng_)) % active;
+        region.active = active;
+        region.hotPages = hot_pages;
+        region.hotStart = hot_start;
+        region.hotShare = spec.hotAccessShare + spec.echoShare;
+        region.zipfChecked = false;
+    }
+}
+
+void
+SyntheticWorkload::refreshZipf(RegionState &region)
+{
+    // Rebuild the Zipf sampler only when the hot-set size moved
+    // noticeably; construction is cheap but not free.
+    const std::uint64_t hot_pages = region.hotPages;
+    if (!region.zipf ||
+        (region.cachedHotPages != hot_pages &&
+         (hot_pages > region.cachedHotPages + region.cachedHotPages / 64 ||
+          hot_pages + hot_pages / 64 < region.cachedHotPages))) {
+        region.zipf.emplace(hot_pages, region.spec.zipfTheta);
+        region.cachedHotPages = hot_pages;
+    }
+    region.zipfChecked = true;
+}
+
+Vpn
+SyntheticWorkload::sampleRegionVpn(RegionState &region)
+{
+    std::uint64_t offset;
+    const double roll = rng_.nextDouble();
+    if (roll < region.hotShare) {
+        if (!region.zipfChecked)
+            refreshZipf(region);
+        if (roll < region.spec.hotAccessShare) {
+            offset = wrapActive(region.hotStart + (*region.zipf)(rng_),
+                                region.active);
         } else {
             // Echo zone: uniform over the window-sized span of pages the
             // drifting window most recently left behind.
-            const std::uint64_t back = 1 + rng_.nextBounded(hot_pages);
-            offset = (hot_start + active - back) % active;
+            const std::uint64_t back =
+                1 + rng_.nextBounded(region.hotPages);
+            offset = wrapActive(region.hotStart + region.active - back,
+                                region.active);
         }
     } else {
-        offset = rng_.nextBounded(active);
+        offset = rng_.nextBounded(region.active);
     }
     return region.base + offset;
 }
@@ -317,6 +354,7 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
     duration += maintainTransients(kernel, now, result);
     if (anyPhased_)
         refreshPhaseWeights(now);
+    prepareBatch(now);
 
     const double think = think_.perOpNs(now);
 
@@ -332,7 +370,7 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
                 weightPrefix_.begin());
             RegionState &region =
                 regions_[std::min(idx, regions_.size() - 1)];
-            const Vpn vpn = sampleRegionVpn(region, now);
+            const Vpn vpn = sampleRegionVpn(region);
             const AccessKind kind =
                 rng_.nextBool(region.spec.storeShare) ? AccessKind::Store
                                                       : AccessKind::Load;

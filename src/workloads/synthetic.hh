@@ -169,6 +169,16 @@ class SyntheticWorkload : public Workload
         Tick lastChurn = 0;
         std::uint64_t cachedHotPages = 0;
         std::optional<ZipfDistribution> zipf;
+
+        // Per-batch view set by prepareBatch(): `now` is fixed for a
+        // whole batch, so these hold for every draw in it.
+        std::uint64_t active = 1;
+        std::uint64_t hotPages = 1;
+        std::uint64_t hotStart = 0;
+        /** hotAccessShare + echoShare. */
+        double hotShare = 0.0;
+        /** The sampler was checked against hotPages this batch. */
+        bool zipfChecked = false;
     };
 
     struct TransientRegion {
@@ -183,7 +193,11 @@ class SyntheticWorkload : public Workload
     bool regionPhaseOn(const RegionSpec &spec, Tick now) const;
     /** Rebuild weightPrefix_ when any region's phase state flipped. */
     void refreshPhaseWeights(Tick now);
-    Vpn sampleRegionVpn(RegionState &region, Tick now);
+    /** Refresh every region's per-batch view for a batch at `now`. */
+    void prepareBatch(Tick now);
+    /** Rebuild the region's Zipf sampler if hotPages moved enough. */
+    void refreshZipf(RegionState &region);
+    Vpn sampleRegionVpn(RegionState &region);
     std::uint64_t activePages(const RegionState &region, Tick now) const;
     double runWarmupChunk(Kernel &kernel, BatchResult &result);
     double maintainTransients(Kernel &kernel, Tick now,

@@ -4,7 +4,10 @@
  */
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +108,129 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(2, 16, 1024,
                                                         1048576),
                        ::testing::Values(0.0, 0.5, 0.9, 0.99, 1.2)));
+
+TEST(ZipfDeathTest, NonFiniteThetaIsFatal)
+{
+    // NaN fails every comparison in the acceptance test, so such a
+    // sampler would never return a draw.
+    EXPECT_DEATH({ ZipfDistribution zipf(100, std::nan("")); }, "theta");
+    EXPECT_DEATH(
+        {
+            ZipfDistribution zipf(100,
+                                  std::numeric_limits<double>::infinity());
+        },
+        "theta");
+    EXPECT_DEATH({ ZipfDistribution zipf(100, -0.5); }, "theta");
+}
+
+/**
+ * Rejection-inversion without the bucket table, copied from the sampler
+ * as it was before the table existed: the reference the table-backed
+ * sampler must match draw for draw.
+ */
+class ReferenceZipf
+{
+  public:
+    ReferenceZipf(std::uint64_t n, double theta) : n_(n), theta_(theta)
+    {
+        hIntegralX1_ = hIntegral(1.5) - 1.0;
+        hIntegralNumberOfElements_ =
+            hIntegral(static_cast<double>(n) + 0.5);
+        s_ = 2.0 - hIntegralInverse(hIntegral(2.5) - h(2.0));
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (n_ == 1)
+            return 0;
+        for (;;) {
+            const double u = hIntegralNumberOfElements_ +
+                             rng.nextDouble() *
+                                 (hIntegralX1_ - hIntegralNumberOfElements_);
+            const double x = hIntegralInverse(u);
+            double k = std::floor(x + 0.5);
+            if (k < 1.0)
+                k = 1.0;
+            else if (k > static_cast<double>(n_))
+                k = static_cast<double>(n_);
+            if (k - x <= s_ || u >= hIntegral(k + 0.5) - h(k)) {
+                return static_cast<std::uint64_t>(k) - 1;
+            }
+        }
+    }
+
+  private:
+    double
+    hIntegral(double x) const
+    {
+        const double log_x = std::log(x);
+        const double t = log_x * (1.0 - theta_);
+        const double helper = (std::abs(t) > 1e-8)
+                                   ? std::expm1(t) / t
+                                   : 1.0 + t / 2.0 + t * t / 6.0;
+        return helper * log_x;
+    }
+
+    double
+    hIntegralInverse(double x) const
+    {
+        double t = x * (1.0 - theta_);
+        if (t < -1.0)
+            t = -1.0;
+        const double helper = (std::abs(t) > 1e-8)
+                                  ? std::log1p(t) / t
+                                  : 1.0 - t / 2.0 + t * t / 3.0;
+        return std::exp(helper * x);
+    }
+
+    double h(double x) const { return std::exp(-theta_ * std::log(x)); }
+
+    std::uint64_t n_;
+    double theta_;
+    double hIntegralX1_;
+    double hIntegralNumberOfElements_;
+    double s_;
+};
+
+class ZipfTable
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>>
+{
+};
+
+TEST_P(ZipfTable, MatchesReferenceDrawForDraw)
+{
+    const auto [n, theta] = GetParam();
+    const std::uint64_t seed = n * 1009 + static_cast<std::uint64_t>(
+                                              theta * 100);
+    Rng fast_rng(seed), ref_rng(seed);
+    ZipfDistribution zipf(n, theta);
+    const ReferenceZipf ref(n, theta);
+    // Far past the lazy build (at most 2^15 draws), so most draws take
+    // the table path.
+    const int draws = 1 << 21;
+    for (int i = 0; i < draws; ++i) {
+        const std::uint64_t want = ref(ref_rng);
+        const std::uint64_t got = zipf(fast_rng);
+        ASSERT_EQ(got, want) << "draw " << i;
+    }
+    // Both consumed exactly the same RNG words.
+    EXPECT_EQ(fast_rng.next(), ref_rng.next());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Exact, ZipfTable,
+    ::testing::Combine(::testing::Values<std::uint64_t>(2, 16, 1024, 3145,
+                                                        6225, 65535, 70000,
+                                                        1048576),
+                       ::testing::Values(0.0, 0.5, 0.9, 0.99, 1.0, 1.2)),
+    [](const ::testing::TestParamInfo<ZipfTable::ParamType> &info) {
+        char name[48];
+        std::snprintf(name, sizeof name, "n%llu_theta%d",
+                      static_cast<unsigned long long>(std::get<0>(info.param)),
+                      static_cast<int>(std::get<1>(info.param) * 100));
+        return std::string(name);
+    });
 
 TEST(Exponential, MeanConverges)
 {

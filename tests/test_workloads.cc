@@ -159,6 +159,101 @@ TEST(SyntheticWorkload, ObserverSeesEveryAccess)
     EXPECT_EQ(observed, res.accesses);
 }
 
+/**
+ * FNV-1a hash of every (vpn, kind) a workload makes over `batches`
+ * batches of 200 operations, one batch per 20 ms of simulated time.
+ */
+std::uint64_t
+accessStreamHash(WorkloadProfile profile, int batches)
+{
+    profile.opsPerBatch = 200;
+    TestMachine m(2048, 8192);
+    SyntheticWorkload wl(std::move(profile));
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    wl.setObserver([&](const AccessRecord &rec) {
+        mix(rec.vpn);
+        mix(static_cast<std::uint64_t>(rec.kind));
+    });
+    wl.init(m.kernel);
+    for (int i = 0; i < batches; ++i) {
+        wl.runBatch(m.kernel);
+        m.eq.run(m.eq.now() + 20 * kMillisecond);
+    }
+    return hash;
+}
+
+/**
+ * Three regions for the generator's edge paths: an echo zone over a
+ * hot window as large as the region, a growing region gated off for
+ * most of each phase (its sampler must be rebuilt only when it is next
+ * drawn), and a hot window wider than the region (offsets wrap more
+ * than once).
+ */
+WorkloadProfile
+edgeProfile()
+{
+    WorkloadProfile p;
+    p.name = "edges";
+    p.seed = 7;
+    RegionSpec echo;
+    echo.label = "echo";
+    echo.pages = 1024;
+    echo.initialActiveFraction = 0.5;
+    echo.growthPagesPerSec = 256.0;
+    echo.hotFraction = 1.0;
+    echo.hotAccessShare = 0.6;
+    echo.echoShare = 0.3;
+    echo.zipfTheta = 0.99;
+    echo.rotationPeriod = 250 * kMillisecond;
+    echo.rotationStep = 0.3;
+    p.regions.push_back(echo);
+    RegionSpec gated;
+    gated.label = "gated";
+    gated.pages = 1024;
+    gated.initialActiveFraction = 0.25;
+    gated.growthPagesPerSec = 300.0;
+    gated.hotFraction = 0.3;
+    gated.hotAccessShare = 0.8;
+    gated.phasePeriod = 2 * kSecond;
+    gated.phaseDuty = 0.25;
+    gated.phaseOffWeight = 0.0;
+    p.regions.push_back(gated);
+    RegionSpec wide;
+    wide.label = "wide";
+    wide.pages = 512;
+    wide.accessWeight = 0.3;
+    wide.hotFraction = 1.5;
+    wide.hotAccessShare = 0.5;
+    wide.echoShare = 0.3;
+    wide.rotationPeriod = 100 * kMillisecond;
+    wide.rotationStep = 0.4;
+    p.regions.push_back(wide);
+    return p;
+}
+
+TEST(SyntheticWorkload, AccessStreamIsPinned)
+{
+    // Hashes captured before the generator's per-batch hoisting and the
+    // Zipf bucket table; both must leave every access unchanged. 200
+    // batches span 4 simulated seconds: web's growth, growth-anchored
+    // hot window, rotation and transients; phased's first phase flip;
+    // churn's first whole-region churn.
+    EXPECT_EQ(accessStreamHash(profiles::web(4096, 7), 200),
+              2334173791130076180ULL);
+    EXPECT_EQ(accessStreamHash(profiles::phased(4096, 7), 200),
+              3420034905426392298ULL);
+    EXPECT_EQ(accessStreamHash(profiles::churn(4096, 7), 200),
+              10611057171459181640ULL);
+    EXPECT_EQ(accessStreamHash(edgeProfile(), 200),
+              6431021026025038742ULL);
+}
+
 TEST(Profiles, AllFourBuildAndSumNearWss)
 {
     for (const char *name : {"web", "cache1", "cache2", "dwh"}) {
