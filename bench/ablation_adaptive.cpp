@@ -14,7 +14,7 @@
  *    and stay out of the way, tying the static policy within noise.
  *
  * The static arm runs stock TPP; the adaptive arm is the same policy
- * with vm.adaptive.enable=1 on a fast window cadence. On `phased` the
+ * plus the tuner, on a fast window cadence. On `phased` the
  * adaptive arm must win hot-set recall *and* p99; on `cache1` it must
  * stay within noise. Both claims are checked loudly below.
  *
@@ -109,7 +109,6 @@ main(int argc, char **argv)
         if (arm.ppt)
             cfg.sysctls.emplace_back("vm.ppt.enable", "1");
         if (arm.adaptive) {
-            cfg.sysctls.emplace_back("vm.adaptive.enable", "1");
             // Fast cadence relative to the 3 s phases: 100 ms windows,
             // three per measurement round, and a hysteresis band wide
             // enough that window noise does not masquerade as progress.
@@ -134,8 +133,7 @@ main(int argc, char **argv)
         }
         cfgs.push_back(cfg);
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     TextTable table({"workload", "policy", "tput (ops/s)",
                      "hot-set recall", "p99 (us)", "SLO attainment",

@@ -33,7 +33,7 @@ ExperimentConfig
 baseConfig(const bench::BenchOptions &opt, bool smoke)
 {
     ExperimentConfig cfg = bench::makeConfig(opt);
-    cfg.localFraction = parseRatio("1:4");
+    cfg.localFraction = *parseRatioSpec("1:4");
     cfg.measureHotness = true;
     if (smoke) {
         cfg.runUntil = 6 * kSecond;
@@ -117,8 +117,7 @@ main(int argc, char **argv)
     labels = kSources;
     labels.push_back("tpp (reference)");
 
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     const std::size_t per_workload = labels.size();
     for (std::size_t w = 0; w < kWorkloads.size(); ++w) {

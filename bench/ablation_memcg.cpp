@@ -35,7 +35,7 @@ baseConfig(const bench::BenchOptions &opt, bool smoke)
     ExperimentConfig cfg = bench::makeConfig(opt);
     // A small local tier: the two tenants' combined hot sets oversubscribe
     // it, so fast-tier residency is genuinely contended.
-    cfg.localFraction = parseRatio("2:3");
+    cfg.localFraction = *parseRatioSpec("2:3");
     cfg.policy = "tpp";
     cfg.measureHotness = true;
     if (smoke) {
@@ -120,8 +120,7 @@ main(int argc, char **argv)
         cfgs.push_back(pairingConfig(opt, smoke, victim, true));
     }
 
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     for (std::size_t i = 0; i < kVictims.size(); ++i)
         printPairingTable(kVictims[i], results[2 * i],

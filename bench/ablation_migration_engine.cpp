@@ -32,7 +32,7 @@ baseConfig(const bench::BenchOptions &opt)
 {
     ExperimentConfig cfg = bench::makeConfig(opt);
     cfg.workload = "cache1";
-    cfg.localFraction = parseRatio("1:4");
+    cfg.localFraction = *parseRatioSpec("1:4");
     cfg.policy = "tpp";
     return cfg;
 }
@@ -46,7 +46,7 @@ std::vector<EngineMode>
 engineLadder()
 {
     std::vector<EngineMode> modes;
-    modes.push_back({MigrationConfig::compat(), "sync-compat"});
+    modes.push_back({MigrationConfig{}, "sync-compat"});
 
     MigrationConfig queued;
     queued.async = true;
@@ -160,8 +160,7 @@ main(int argc, char **argv)
         }
     }
 
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     std::printf("-- engine mode ladder --\n");
     printEngineTable(modes,

@@ -52,7 +52,7 @@ spikeConfig(const bench::BenchOptions &opt, bool smoke,
     cfg.policy = policy;
     // The paper's 1:4 expansion point: small local tier, most capacity
     // on CXL — placement quality decides the victim's service rate.
-    cfg.localFraction = parseRatio("1:4");
+    cfg.localFraction = *parseRatioSpec("1:4");
     if (smoke) {
         // Short, but long enough for tpp to converge placement and
         // drain its warm-up backlog before the window opens; with a
@@ -137,8 +137,7 @@ main(int argc, char **argv)
     for (const std::string &policy : kPolicies)
         cfgs.push_back(spikeConfig(opt, smoke, policy));
 
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     printTable(results);
 

@@ -101,8 +101,7 @@ main(int argc, char **argv)
         }
         cfgs.push_back(cfg);
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     TextTable table({"ppt", "cooldown (ms)", "tput (ops/s)",
                      "hot-set recall", "migrated pages", "moved (MiB)",

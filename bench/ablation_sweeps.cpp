@@ -27,7 +27,7 @@ baseConfig(const bench::BenchOptions &opt)
 {
     ExperimentConfig cfg = bench::makeConfig(opt);
     cfg.workload = "cache1";
-    cfg.localFraction = parseRatio("1:4");
+    cfg.localFraction = *parseRatioSpec("1:4");
     cfg.policy = "tpp";
     return cfg;
 }
@@ -74,8 +74,7 @@ main(int argc, char **argv)
         cfg.tpp.promoteRateLimitMBps = limit;
         cfgs.push_back(cfg);
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     std::printf("-- demote_scale_factor --\n");
     {

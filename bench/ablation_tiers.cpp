@@ -82,7 +82,7 @@ main(int argc, char **argv)
             cfg.topology = topology;
             cfg.measureHotness = true;
             // The admission budget only binds in the async engine; the
-            // sync-compat path ignores the rate limit entirely.
+            // sync path ignores the rate limit entirely.
             cfg.migration = MigrationConfig::asyncEngine();
             cfg.migration.rateLimitMBps = budget;
             cfg.sysctls.emplace_back("vm.tpp.demote_chain",
@@ -94,8 +94,7 @@ main(int argc, char **argv)
             cfgs.push_back(cfg);
         }
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     TextTable table({"middle tier", "budget (MB/s)", "tput (ops/s)",
                      "mean latency (ns)", "hot-set recall", "demoted",

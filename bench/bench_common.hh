@@ -33,7 +33,8 @@
  * byte-identical with or without these flags (tests/test_trace.cc).
  *
  * Malformed spec-valued flags (--tenants, --sysctl, --qps, --arrival,
- * --slo, --topology) and flag combinations ExperimentConfig::validate()
+ * --slo, --topology), flag combinations ExperimentConfig::validate()
+ * refuses, and a --sysctl the kernel does not have or whose value it
  * refuses print the diagnostic — naming the bad token — and exit with
  * status 2, so scripts can tell "bad invocation" from a simulator
  * failure.
@@ -257,14 +258,32 @@ makeConfig(const BenchOptions &opt)
     return cfg;
 }
 
-/** SweepRunner options derived from the shared flags. */
-inline SweepOptions
-sweepOptions(const BenchOptions &opt)
+/**
+ * Exit 2 when the simulator rejected any run (a config validate()
+ * refuses, or a sysctl the kernel will not take): the invocation was
+ * bad, and a table of zeros would hide it.
+ */
+inline void
+requireSimulated(const std::vector<ExperimentResult> &results)
+{
+    for (const ExperimentResult &r : results) {
+        if (r.failed()) {
+            std::fprintf(stderr, "error: %s\n", r.error.c_str());
+            std::exit(kBadSpecExit);
+        }
+    }
+}
+
+/** Run the binary's sweep under --jobs/--verbose; requireSimulated(). */
+inline std::vector<ExperimentResult>
+runSweep(const BenchOptions &opt, const std::vector<ExperimentConfig> &cfgs)
 {
     SweepOptions sweep;
     sweep.jobs = opt.jobs;
     sweep.progress = opt.verbose;
-    return sweep;
+    std::vector<ExperimentResult> results = SweepRunner(sweep).run(cfgs);
+    requireSimulated(results);
+    return results;
 }
 
 /** Honour --csv: dump every result of the run in submission order. */

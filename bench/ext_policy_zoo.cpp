@@ -49,13 +49,12 @@ main(int argc, char **argv)
             ExperimentConfig cfg = base;
             cfg.allLocal = false;
             cfg.topology = opt.topologySpec;
-            cfg.localFraction = parseRatio("1:4");
+            cfg.localFraction = *parseRatioSpec("1:4");
             cfg.policy = policy;
             cfgs.push_back(cfg);
         }
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     const std::size_t stride = 1 + policies.size();
     for (std::size_t z = 0; z < zoos.size(); ++z) {

@@ -65,8 +65,7 @@ main(int argc, char **argv)
         cfg.policy = "linux";
         cfgs.push_back(cfg);
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     for (std::size_t w = 0; w < cfgs.size(); ++w) {
         const ExperimentResult &res = results[w];

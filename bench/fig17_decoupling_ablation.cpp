@@ -25,13 +25,12 @@ caseConfig(const bench::BenchOptions &opt, bool decouple)
 {
     ExperimentConfig cfg = bench::makeConfig(opt);
     cfg.workload = "cache1";
-    cfg.localFraction = parseRatio("1:4");
+    cfg.localFraction = *parseRatioSpec("1:4");
     cfg.policy = "tpp";
     // The paper's decoupling feature is a unit: the separate demotion
     // watermarks (5.2) plus the allocation-watermark bypass for
     // promotions (5.3). The coupled variant disables both.
     cfg.tpp.decoupleWatermarks = decouple;
-    cfg.tpp.promotionIgnoresWatermark = decouple;
     return cfg;
 }
 
@@ -71,8 +70,7 @@ main(int argc, char **argv)
 
     const std::vector<ExperimentConfig> cfgs = {caseConfig(opt, false),
                                                 caseConfig(opt, true)};
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     const Row coupled = makeRow(results[0]);
     const Row decoupled = makeRow(results[1]);

@@ -24,7 +24,7 @@ caseConfig(const bench::BenchOptions &opt, bool filter)
 {
     ExperimentConfig cfg = bench::makeConfig(opt);
     cfg.workload = "cache1";
-    cfg.localFraction = parseRatio("1:4");
+    cfg.localFraction = *parseRatioSpec("1:4");
     cfg.policy = "tpp";
     cfg.tpp.activeLruFilter = filter;
     return cfg;
@@ -66,8 +66,7 @@ main(int argc, char **argv)
 
     const std::vector<ExperimentConfig> cfgs = {caseConfig(opt, false),
                                                 caseConfig(opt, true)};
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     const ExperimentResult &instant = results[0];
     const ExperimentResult &filtered = results[1];

@@ -52,19 +52,16 @@ main(int argc, char **argv)
             ExperimentConfig cfg = base;
             cfg.allLocal = false;
             cfg.topology = opt.topologySpec;
-            cfg.localFraction = parseRatio(c.ratio);
+            cfg.localFraction = *parseRatioSpec(c.ratio);
             cfg.policy = policy;
-            if (std::string(policy) == "adaptive") {
-                // The tuner is inert unless switched on, and profiles
-                // the PPT flip history, so both go live together.
-                cfg.sysctls.emplace_back("vm.adaptive.enable", "1");
+            // The tuner profiles the PPT flip history, so the throttle
+            // goes live with it.
+            if (std::string(policy) == "adaptive")
                 cfg.sysctls.emplace_back("vm.ppt.enable", "1");
-            }
             cfgs.push_back(cfg);
         }
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     const std::size_t stride = 1 + policies.size();
     for (std::size_t k = 0; k < cases.size(); ++k) {

@@ -222,11 +222,10 @@ BM_AdaptiveWindowTick(benchmark::State &state)
     // Per-window cost of the adaptive tuner's profile/infer step:
     // vmstat snapshot differencing, objective scoring, touch-filter
     // epoch upkeep and the occasional knob step through the sysctl
-    // surface. Every enabled window pays this whether or not a knob
+    // surface. Every window pays this whether or not a knob
     // moves, so the perf-gate entry for it reads direction LOWER
     // (seconds per window, smaller is better) rather than as a rate.
     PolicyParams params;
-    params.adaptive.enable = true;
     params.adaptive.windowPeriod = 1 * kMillisecond;
     Machine m(8192, 8192, std::make_unique<AdaptivePolicy>(params));
     const Vpn base = m.kernel.mmap(m.asid, 2048, PageType::Anon, "bench");

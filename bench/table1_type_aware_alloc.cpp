@@ -46,13 +46,12 @@ main(int argc, char **argv)
         ExperimentConfig cfg = base;
         cfg.allLocal = false;
         cfg.topology = opt.topologySpec;
-        cfg.localFraction = parseRatio(c.ratio);
+        cfg.localFraction = *parseRatioSpec(c.ratio);
         cfg.policy = "tpp";
         cfg.tpp.typeAwareAllocation = true;
         cfgs.push_back(cfg);
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
 
     for (std::size_t k = 0; k < cases.size(); ++k) {
         const ExperimentResult &baseline = results[k * 2];

@@ -36,13 +36,12 @@ main(int argc, char **argv)
     for (const char *ratio : ratios) {
         for (const char *policy : policies) {
             ExperimentConfig run = cfg;
-            run.localFraction = parseRatio(ratio);
+            run.localFraction = *parseRatioSpec(ratio);
             run.policy = policy;
             cfgs.push_back(run);
         }
     }
-    const std::vector<ExperimentResult> results =
-        SweepRunner(bench::sweepOptions(opt)).run(cfgs);
+    const std::vector<ExperimentResult> results = bench::runSweep(opt, cfgs);
     const ExperimentResult &baseline = results[0];
 
     std::printf("Cache1 memory-expansion sweep (%llu-page working "

@@ -14,9 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "harness/experiment.hh"
-#include "harness/table.hh"
-#include "sim/logging.hh"
+#include "bench_common.hh"
 
 int
 main(int argc, char **argv)
@@ -39,6 +37,7 @@ main(int argc, char **argv)
                 cfg.chameleon.numCoreGroups);
 
     const ExperimentResult res = runExperiment(cfg);
+    bench::requireSimulated({res});
 
     // Interval heat map.
     TextTable intervals({"interval", "resident", "touched", "hot frac",

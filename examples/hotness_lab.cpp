@@ -115,7 +115,7 @@ main(int argc, char **argv)
         cfg.policy = "hotness";
         cfg.wssPages = opt.wss;
         cfg.seed = opt.seed;
-        cfg.localFraction = parseRatio("1:4");
+        cfg.localFraction = *parseRatioSpec("1:4");
         cfg.measureHotness = true;
         cfg.hotness.source = source;
         if (opt.epochMs)
@@ -136,6 +136,7 @@ main(int argc, char **argv)
     sweep.progress = opt.verbose;
     const std::vector<ExperimentResult> results =
         SweepRunner(sweep).run(cfgs);
+    bench::requireSimulated(results);
 
     TextTable table({"source", "tput (ops/s)", "local traffic",
                      "hot-set recall", "promoted", "ctr evictions"});

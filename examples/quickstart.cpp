@@ -10,9 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "harness/experiment.hh"
-#include "harness/table.hh"
-#include "sim/logging.hh"
+#include "bench_common.hh"
 
 int
 main(int argc, char **argv)
@@ -23,7 +21,7 @@ main(int argc, char **argv)
 
     ExperimentConfig cfg;
     cfg.workload = "web";
-    cfg.localFraction = parseRatio("2:1");
+    cfg.localFraction = *parseRatioSpec("2:1");
     if (argc > 1)
         cfg.wssPages = std::strtoull(argv[1], nullptr, 0);
 
@@ -38,6 +36,7 @@ main(int argc, char **argv)
     base.allLocal = true;
     base.policy = "linux";
     const ExperimentResult baseline = runExperiment(base);
+    bench::requireSimulated({baseline});
     table.addRow({"all-local", TextTable::num(baseline.throughput, 0),
                   "100.0%", "100.0%",
                   TextTable::num(baseline.meanAccessLatencyNs, 1)});

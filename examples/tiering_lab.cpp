@@ -18,6 +18,8 @@
  *               [--csv] [--json] [--meminfo] [--verbose]
  *
  * Unknown workload or policy names fatal() with the registered list.
+ * A malformed --ratio or --sysctl, or a sysctl the kernel refuses,
+ * prints the diagnostic and exits 2.
  */
 
 #include <cstdio>
@@ -35,7 +37,7 @@ using namespace tpp;
 struct Options {
     std::vector<std::string> workloads = {"cache1"};
     std::vector<std::string> policies = {"tpp"};
-    std::string ratio = "2:1";
+    double localFraction = 2.0 / 3.0; //!< --ratio, default 2:1
     bool allLocal = false;
     std::string topologySpec;
     std::uint64_t wss = 32768;
@@ -83,7 +85,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--policy") {
             opt.policies = splitList(next());
         } else if (arg == "--ratio") {
-            opt.ratio = next();
+            opt.localFraction =
+                bench::specValueOrDie(parseRatioSpec(next()));
         } else if (arg == "--all-local") {
             opt.allLocal = true;
         } else if (arg == "--topology") {
@@ -96,12 +99,8 @@ parseArgs(int argc, char **argv)
             opt.jobs = static_cast<unsigned>(
                 bench::parseCount("--jobs", next()));
         } else if (arg == "--sysctl") {
-            const std::string kv = next();
-            const auto eq = kv.find('=');
-            if (eq == std::string::npos)
-                tpp_fatal("--sysctl expects name=value");
-            opt.sysctls.emplace_back(kv.substr(0, eq),
-                                     kv.substr(eq + 1));
+            opt.sysctls.push_back(
+                bench::specValueOrDie(parseAssignment(next())));
         } else if (arg == "--csv") {
             opt.csv = true;
         } else if (arg == "--json") {
@@ -139,7 +138,7 @@ main(int argc, char **argv)
             else if (opt.allLocal)
                 cfg.allLocal = true;
             else
-                cfg.localFraction = parseRatio(opt.ratio);
+                cfg.localFraction = opt.localFraction;
             cfgs.push_back(cfg);
         }
     }
@@ -149,6 +148,7 @@ main(int argc, char **argv)
     sweep.progress = opt.verbose;
     const std::vector<ExperimentResult> results =
         SweepRunner(sweep).run(cfgs);
+    bench::requireSimulated(results);
 
     if (opt.csv)
         writeResultsCsv(std::cout, results);

@@ -9,15 +9,16 @@
  *   workload: web | cache1 | cache2 | dwh       (default web)
  *   policy:   linux | numa-balancing | autotiering | tpp | all-local
  *   ratio:    local:cxl capacity ratio, e.g. 2:1 or 1:4
+ *
+ * A malformed ratio or a config the harness rejects prints the
+ * diagnostic and exits 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "harness/experiment.hh"
-#include "harness/table.hh"
-#include "sim/logging.hh"
+#include "bench_common.hh"
 
 int
 main(int argc, char **argv)
@@ -35,11 +36,13 @@ main(int argc, char **argv)
     } else {
         cfg.policy = policy;
     }
-    cfg.localFraction = parseRatio(argc > 3 ? argv[3] : "2:1");
+    cfg.localFraction =
+        bench::specValueOrDie(parseRatioSpec(argc > 3 ? argv[3] : "2:1"));
     if (argc > 4)
         cfg.wssPages = std::strtoull(argv[4], nullptr, 0);
 
     const ExperimentResult res = runExperiment(cfg);
+    bench::requireSimulated({res});
 
     std::printf("== %s / %s ==\n", res.workload.c_str(),
                 res.policy.c_str());

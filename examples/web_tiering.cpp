@@ -17,9 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "harness/experiment.hh"
-#include "harness/table.hh"
-#include "sim/logging.hh"
+#include "bench_common.hh"
 
 namespace {
 
@@ -76,7 +74,7 @@ main(int argc, char **argv)
 
     ExperimentConfig cfg;
     cfg.workload = "web";
-    cfg.localFraction = parseRatio("2:1");
+    cfg.localFraction = *parseRatioSpec("2:1");
     if (argc > 1)
         cfg.wssPages = std::strtoull(argv[1], nullptr, 0);
 
@@ -90,6 +88,7 @@ main(int argc, char **argv)
     base.allLocal = true;
     base.policy = "linux";
     const ExperimentResult baseline = runExperiment(base);
+    bench::requireSimulated({baseline});
     std::printf("\nall-local reference: %.0f ops/s\n",
                 baseline.throughput);
 

@@ -30,7 +30,7 @@ void
 TppPolicy::attach(Kernel &kernel)
 {
     PlacementPolicy::attach(kernel);
-    kernel.setPromotionIgnoresWatermark(cfg_.promotionIgnoresWatermark);
+    kernel.setPromotionIgnoresWatermark(cfg_.decoupleWatermarks);
     applyWatermarks();
 
     // Mode resolution (§5.3): Classic NUMA balancing on a machine with

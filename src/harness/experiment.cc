@@ -17,15 +17,6 @@
 
 namespace tpp {
 
-double
-parseRatio(const std::string &ratio)
-{
-    const SpecResult<double> parsed = parseRatioSpec(ratio);
-    if (!parsed)
-        tpp_fatal("%s", parsed.error().render().c_str());
-    return *parsed;
-}
-
 std::unique_ptr<PlacementPolicy>
 makePolicy(const ExperimentConfig &cfg)
 {
@@ -508,13 +499,24 @@ createTenantCgroup(MemcgController &memcg, std::size_t index,
 ExperimentResult
 runExperiment(const ExperimentConfig &cfg)
 {
-    if (const SpecResult<void> valid = cfg.validate(); !valid)
-        tpp_fatal("%s", valid.error().render().c_str());
-
     // The implicit tenant of a config without tenants stays in the root
     // cgroup: no cgroup is created for it and it gets no per-tenant row.
     const bool implicit = cfg.tenants.empty();
     const std::vector<TenantSpec> tenants = tenantsOf(cfg);
+
+    // The headline row names every tenant's workload.
+    ExperimentResult result;
+    for (const TenantSpec &tenant : tenants) {
+        if (!result.workload.empty())
+            result.workload += '+';
+        result.workload += tenant.workload;
+    }
+    result.policy = cfg.policy;
+
+    if (const SpecResult<void> valid = cfg.validate(); !valid) {
+        result.error = valid.error().render();
+        return result;
+    }
 
     // Resolve tenant working sets: explicit pages, or an equal share of
     // the config's total (validate() rejects a zero-page share).
@@ -562,11 +564,18 @@ runExperiment(const ExperimentConfig &cfg)
             cgids[i] = createTenantCgroup(memcg, i, tenants[i], wss[i]);
     }
 
-    // Admin surface: apply requested sysctls before anything runs.
+    // Admin surface: apply requested sysctls before anything runs. A
+    // knob the kernel does not have, or a value it refuses, rejects the
+    // run before the event queue starts.
     for (const auto &[name, value] : cfg.sysctls) {
-        if (!kernel.sysctl().set(name, value))
-            tpp_fatal("sysctl %s=%s rejected", name.c_str(),
-                      value.c_str());
+        if (!kernel.sysctl().set(name, value)) {
+            const SpecError error{kernel.sysctl().exists(name)
+                                      ? "sysctl value rejected"
+                                      : "unknown sysctl",
+                                  name + "=" + value};
+            result.error = error.render();
+            return result;
+        }
     }
 
     // Workload-side observers, shared by every tenant's workload. Up to
@@ -646,13 +655,6 @@ runExperiment(const ExperimentConfig &cfg)
     eq.run(cfg.runUntil);
 
     // Harvest: headline row first (aggregate over tenants).
-    ExperimentResult result;
-    for (const TenantSpec &tenant : tenants) {
-        if (!result.workload.empty())
-            result.workload += '+';
-        result.workload += tenant.workload;
-    }
-    result.policy = cfg.policy;
     double latency_sum = 0.0;
     double latency_weight = 0.0;
     for (const auto &driver : drivers) {

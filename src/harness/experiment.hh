@@ -170,7 +170,7 @@ struct ExperimentConfig : PolicyParams {
     std::vector<std::pair<std::string, std::string>> sysctls;
     /**
      * MigrationEngine mode (mm/migration). The default is the
-     * synchronous compat mode — bit-identical to the pre-engine
+     * synchronous mode — bit-identical to the pre-engine
      * kernel; MigrationConfig::asyncEngine() turns on queueing,
      * transactions and bandwidth-coupled copy cost.
      */
@@ -226,8 +226,8 @@ struct ExperimentConfig : PolicyParams {
      * Check the config before building a machine for it: capacity and
      * fraction ranges, measurement-window ordering, tenant working sets
      * and observer combinations, and open-loop parameters.
-     * runExperiment() fatals on a failed validation; SweepRunner
-     * rejects just the offending config.
+     * runExperiment() returns a failed result for a config that does
+     * not validate, so a sweep rejects just the offending config.
      */
     SpecResult<void> validate() const;
 };
@@ -288,9 +288,9 @@ struct ExperimentResult {
      *  merged across every tenant that ran open loop. */
     OpenLoopResult openLoop;
     /**
-     * Non-empty when the run was rejected without being simulated
-     * (SweepRunner::run on a config whose validate() failed). All
-     * metric fields are zero in that case.
+     * Non-empty when the run was rejected without being simulated: the
+     * config failed validate(), or the kernel refused one of its
+     * sysctls. All metric fields are zero in that case.
      */
     std::string error;
 
@@ -321,7 +321,9 @@ std::unique_ptr<PlacementPolicy> makePolicy(const ExperimentConfig &cfg);
 /**
  * Run one experiment to completion: build the machine, start every
  * tenant's driver (the implicit one when cfg.tenants is empty), run
- * the event queue to cfg.runUntil and harvest the result.
+ * the event queue to cfg.runUntil and harvest the result. A config
+ * that fails validate() or names a sysctl the kernel refuses comes
+ * back failed() with the diagnostic, before anything is simulated.
  */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
 
@@ -336,10 +338,6 @@ ExperimentResult runExperiment(const ExperimentConfig &cfg);
 double relativeToAllLocal(const ExperimentConfig &cfg,
                           ExperimentResult *out = nullptr,
                           ExperimentResult *baseline_out = nullptr);
-
-/** Parse a "L:C" capacity ratio ("2:1", "1:4") into a local fraction.
- *  Compatibility wrapper over parseRatioSpec(); fatal() on bad input. */
-double parseRatio(const std::string &ratio);
 
 } // namespace tpp
 

@@ -80,8 +80,6 @@ canonicalKey(const ExperimentConfig &cfg)
     field(out, "tpp.decoupleWatermarks", cfg.tpp.decoupleWatermarks);
     field(out, "tpp.demoteChain", cfg.tpp.demoteChain);
     field(out, "tpp.activeLruFilter", cfg.tpp.activeLruFilter);
-    field(out, "tpp.promotionIgnoresWatermark",
-          cfg.tpp.promotionIgnoresWatermark);
     field(out, "tpp.typeAwareAllocation", cfg.tpp.typeAwareAllocation);
     field(out, "tpp.scanPeriod", cfg.tpp.scanPeriod);
     field(out, "tpp.scanBatch", cfg.tpp.scanBatch);
@@ -243,31 +241,19 @@ SweepRunner::SweepRunner(SweepOptions opts) : opts_(opts)
 ExperimentResult
 SweepRunner::runCached(const ExperimentConfig &cfg) const
 {
-    // A sweep rejects one invalid config with a diagnostic instead of
-    // taking down the other N-1 (runExperiment would fatal).
-    if (const SpecResult<void> valid = cfg.validate(); !valid) {
-        ExperimentResult rejected;
-        rejected.workload = cfg.workload;
-        if (!cfg.tenants.empty()) {
-            rejected.workload.clear();
-            for (const TenantSpec &tenant : cfg.tenants) {
-                if (!rejected.workload.empty())
-                    rejected.workload += '+';
-                rejected.workload += tenant.workload;
-            }
-        }
-        rejected.policy = cfg.policy;
-        rejected.error = valid.error().render();
-        std::fprintf(stderr, "sweep: rejected %s/%s: %s\n",
-                     cfg.workload.c_str(), cfg.policy.c_str(),
-                     rejected.error.c_str());
-        return rejected;
-    }
     // All-local runs are the shared baselines every figure divides by;
     // funnel them through the process-wide cache.
-    if (cfg.allLocal)
-        return BaselineCache::instance().getOrRun(cfg);
-    return runExperiment(cfg);
+    ExperimentResult result = cfg.allLocal
+                                  ? BaselineCache::instance().getOrRun(cfg)
+                                  : runExperiment(cfg);
+    // A rejected config fails alone, with a diagnostic; the other N-1
+    // still run.
+    if (result.failed()) {
+        std::fprintf(stderr, "sweep: rejected %s/%s: %s\n",
+                     result.workload.c_str(), result.policy.c_str(),
+                     result.error.c_str());
+    }
+    return result;
 }
 
 ExperimentResult

@@ -96,7 +96,7 @@ class Kernel
      * @param policy     placement policy; Kernel takes ownership
      * @param costs      mm code-path latency constants
      * @param migration  MigrationEngine mode; the default is the
-     *                   synchronous compat mode (bit-identical to the
+     *                   synchronous mode (bit-identical to the
      *                   pre-engine kernel)
      */
     Kernel(MemorySystem &mem, EventQueue &eq,
@@ -297,6 +297,16 @@ class Kernel
     bool nodePassesGate(NodeId nid, WatermarkGate gate) const;
     Pfn takeFrameFrom(NodeId nid, AllocReason reason);
     void maybeWakeKswapd(NodeId nid);
+
+    // kernel_migrate.cc
+    /**
+     * Move a page that is off its LRU into the freshly allocated frame
+     * `new_pfn`: copy its type, cold state and referenced/dirty/
+     * demoted/hint-pending flags, repoint the PTE, free the old frame,
+     * file the new one on its node's LRU, move the memcg charge and
+     * count pgmigrate_success. Every successful page move ends here.
+     */
+    void moveFrame(Pfn pfn, Pfn new_pfn, bool was_active);
 
     // kernel_reclaim.cc
     struct KswapdState {

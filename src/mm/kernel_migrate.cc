@@ -34,11 +34,25 @@ Kernel::migratePage(Pfn pfn, NodeId dst, AllocReason reason,
         return kInvalidPfn;
     }
 
-    Pte &pte = pteOf(frame);
     const bool was_active = lruIsActive(frame.lru);
     const NodeId src = frame.nid;
-
     lrus_[src].remove(pfn);
+    moveFrame(pfn, new_pfn, was_active);
+
+    // The copy moves one page of data off the source and onto the node
+    // the new frame landed on (App/SwapIn-reason allocations may fall
+    // back off the requested node).
+    mem_.node(src).recordTraffic(eq_.now(), kPageSize);
+    mem_.node(mem_.frame(new_pfn).nid).recordTraffic(eq_.now(), kPageSize);
+    return new_pfn;
+}
+
+void
+Kernel::moveFrame(Pfn pfn, Pfn new_pfn, bool was_active)
+{
+    PageFrame &frame = mem_.frame(pfn);
+    Pte &pte = pteOf(frame);
+    const NodeId src = frame.nid;
 
     PageFrame &new_frame = mem_.frame(new_pfn);
     new_frame.markAllocated();
@@ -59,19 +73,10 @@ Kernel::migratePage(Pfn pfn, NodeId dst, AllocReason reason,
     frame.resetForFree();
     mem_.frameCold(pfn).resetForFree();
 
-    // App/SwapIn-reason allocations may fall back off the requested
-    // node; file the page where its frame actually landed.
-    const NodeId landed = new_frame.nid;
-    lrus_[landed].addHead(lruListFor(new_frame.type, was_active),
-                          new_pfn);
-    memcg_.transfer(mem_.frameCold(new_pfn).ownerAsid, src, landed);
-
-    // The copy moves one page of data off the source and onto the
-    // destination node.
-    mem_.node(src).recordTraffic(eq_.now(), kPageSize);
-    mem_.node(landed).recordTraffic(eq_.now(), kPageSize);
+    const NodeId dst = new_frame.nid;
+    lrus_[dst].addHead(lruListFor(new_frame.type, was_active), new_pfn);
+    memcg_.transfer(mem_.frameCold(new_pfn).ownerAsid, src, dst);
     vmstat_.inc(Vm::PgMigrateSuccess);
-    return new_pfn;
 }
 
 void

@@ -52,7 +52,6 @@ MemcgController::MemcgController(std::size_t num_nodes,
     // exactly like the pre-memcg one.
     cgroups_.push_back(
         std::make_unique<MemCgroup>(kRootCgroup, "root", numNodes_));
-    sysctl_.registerBool("vm.memcg_protection", &protectionEnabled_);
 }
 
 CgroupId
@@ -201,8 +200,6 @@ MemcgController::transfer(Asid asid, NodeId src, NodeId dst)
 bool
 MemcgController::protectionActive() const
 {
-    if (!protectionEnabled_)
-        return false;
     for (const auto &cg : cgroups_)
         if (cg->low > 0)
             return true;

@@ -210,11 +210,8 @@ class MemcgController
 
     // ---- reclaim protection -----------------------------------------
 
-    /** Global kill-switch (sysctl vm.memcg_protection, default on). */
-    bool protectionEnabled() const { return protectionEnabled_; }
-
-    /** @return true when any floor is configured and the switch is on:
-     *  reclaim only takes the two-pass path when this holds. */
+    /** @return true when any cgroup has a floor configured: reclaim
+     *  only takes the two-pass path when this holds. */
     bool protectionActive() const;
 
     /**
@@ -266,7 +263,6 @@ class MemcgController
     std::vector<std::unique_ptr<MemCgroup>> cgroups_;
     std::vector<CgroupId> byAsid_;
     CgroupId spawnCgroup_ = kRootCgroup;
-    bool protectionEnabled_ = true;
 };
 
 } // namespace tpp

@@ -6,11 +6,13 @@
  * experiment harness, benches, tests) can describe an engine mode
  * without pulling in the engine — mirroring mm/policy_params.hh.
  *
- * The default-constructed config is the **sync-compat mode**: queue
- * depth 1, no daemon, no admission control, flat per-page copy cost.
- * In that mode every demotion/promotion executes inline and the
- * simulation is bit-for-bit identical to the pre-engine kernel
+ * The default-constructed config is the **sync mode**: queue depth 1,
+ * no daemon, no admission control, flat per-page copy cost. In that
+ * mode every demotion/promotion executes inline and the simulation is
+ * bit-for-bit identical to the pre-engine kernel
  * (tests/test_migration_compat.cc pins this with golden fingerprints).
+ * The modes are fixed per run: only the queue depth and the rate
+ * limit are live sysctls.
  */
 
 #ifndef TPP_MM_MIGRATION_MIGRATION_CONFIG_HH
@@ -28,7 +30,7 @@ struct MigrationConfig {
      * Queue background migrations per node and drain them in batches
      * from a migrator daemon on the event queue. Off: every request
      * executes synchronously in the caller (today's Linux behaviour —
-     * and the bit-identical compat mode). Direct reclaim always
+     * and the bit-identical sync mode). Direct reclaim always
      * demotes synchronously regardless, like the real kernel: the
      * allocating task needs pages *now*.
      */
@@ -51,7 +53,7 @@ struct MigrationConfig {
     /**
      * Per-(node, direction) queue capacity; a full queue defers the
      * request (vm.migration_queue_depth). Depth 1 with `async` off is
-     * the compat mode.
+     * the sync mode.
      */
     std::uint64_t queueDepth = 1;
     /** Pages the migrator daemon moves per wakeup and queue. */
@@ -65,13 +67,6 @@ struct MigrationConfig {
      * deferred, never queued. 0 disables admission control.
      */
     double rateLimitMBps = 0.0;
-
-    /** The bit-identical pre-engine behaviour (the default). */
-    static MigrationConfig
-    compat()
-    {
-        return MigrationConfig{};
-    }
 
     /** The full asynchronous, transactional engine. */
     static MigrationConfig

@@ -3,7 +3,7 @@
  * MigrationEngine implementation. The synchronous paths reproduce the
  * pre-engine Kernel::demotePage / promotePage behaviour exactly — same
  * counters, tracepoints and traffic accounting in the same order — so
- * the default sync-compat config is bit-identical to the old code. The
+ * the default sync config is bit-identical to the old code. The
  * asynchronous paths add queueing, admission control and the two-phase
  * transactional copy on top of the same building blocks.
  */
@@ -54,9 +54,6 @@ MigrationEngine::MigrationEngine(Kernel &kernel, MigrationConfig cfg)
         });
     sysctl.registerU64("vm.migration_queue_depth", &cfg_.queueDepth,
                        nullptr, /*min=*/1);
-    sysctl.registerBool("vm.migration_async", &cfg_.async);
-    sysctl.registerBool("vm.migration_transactional",
-                        &cfg_.transactional);
 }
 
 std::uint64_t
@@ -568,32 +565,8 @@ MigrationEngine::finishMove(const Request &req, Pfn dst_pfn,
                             NodeId dst_nid)
 {
     Kernel &k = kernel_;
-    PageFrame &frame = k.mem_.frame(req.pfn);
-    Pte &pte = k.pteOf(frame);
-
+    k.moveFrame(req.pfn, dst_pfn, req.wasActive);
     PageFrame &new_frame = k.mem_.frame(dst_pfn);
-    new_frame.markAllocated();
-    new_frame.type = frame.type;
-    k.mem_.frameCold(dst_pfn) = k.mem_.frameCold(req.pfn);
-    if (frame.referenced())
-        new_frame.setFlag(PageFrame::FlagReferenced);
-    if (frame.dirty())
-        new_frame.setFlag(PageFrame::FlagDirty);
-    if (frame.demoted())
-        new_frame.setFlag(PageFrame::FlagDemoted);
-    if (frame.hintPending())
-        new_frame.setFlag(PageFrame::FlagHintPending);
-
-    pte.pfn = dst_pfn;
-
-    k.mem_.node(req.src).putFree(req.pfn);
-    frame.resetForFree();
-    k.mem_.frameCold(req.pfn).resetForFree();
-
-    k.lrus_[dst_nid].addHead(lruListFor(new_frame.type, req.wasActive),
-                             dst_pfn);
-    k.memcg_.transfer(req.asid, req.src, dst_nid);
-    k.vmstat_.inc(Vm::PgMigrateSuccess);
 
     MemcgStats &cg_stats =
         k.memcg_.cgroup(k.memcg_.cgroupOf(req.asid)).stats;

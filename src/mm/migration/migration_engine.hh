@@ -20,10 +20,10 @@
  *    tier is contended, bounding migration traffic.
  *
  * The copy cost is either the flat MmCosts::migratePage constant
- * (compat) or the bandwidth-contention transfer time from the latency
+ * (sync mode) or the bandwidth-contention transfer time from the latency
  * model (MigrationConfig::bandwidthCost).
  *
- * With the default config the engine is in **sync-compat mode** and
+ * With the default config the engine is in **sync mode** and
  * reproduces the pre-engine kernel bit-for-bit; every existing figure
  * stays anchored (tests/test_migration_compat.cc).
  */

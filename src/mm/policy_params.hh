@@ -41,7 +41,13 @@ struct TppConfig {
     NumaMode mode = NumaMode::AutoDetect;
     /** /proc/sys/vm/demote_scale_factor, percent of node capacity. */
     double demoteScaleFactor = 2.0;
-    /** §5.2 decoupled watermarks; off = classic coupled reclaim. */
+    /**
+     * The paper's decoupling feature, as one unit: §5.2's separate
+     * demotion watermarks plus §5.3's promotion bypass of the
+     * allocation watermark. Off = classic coupled reclaim, and
+     * promotions wait for the high watermark like default NUMA
+     * balancing.
+     */
     bool decoupleWatermarks = true;
     /**
      * Chain middle-tier reclaim downward through the tier hierarchy
@@ -51,8 +57,6 @@ struct TppConfig {
     bool demoteChain = true;
     /** §5.3 active-LRU promotion filter; off = instant promotion. */
     bool activeLruFilter = true;
-    /** §5.3 promotion ignores the allocation watermark. */
-    bool promotionIgnoresWatermark = true;
     /** §5.4 allocate file/tmpfs pages on the CXL node preferably. */
     bool typeAwareAllocation = false;
     /** CXL-node hint-fault sampling cadence. */
@@ -133,12 +137,10 @@ struct HotnessConfig {
  * is TPP plus a profile-then-infer tuner: it measures promotion yield,
  * ping-pong rate, reclaim pressure and SLO headroom over sliding
  * windows, then retunes the live promotion knobs by hysteretic
- * coordinate descent over a discrete grid. With `enable` off (the
- * default) the policy is bit-identical to plain TPP.
+ * coordinate descent over a discrete grid. Its off arm is the plain
+ * `tpp` policy.
  */
 struct AdaptiveConfig {
-    /** Master kill switch (vm.adaptive.enable). */
-    bool enable = false;
     /** Profiling-window length (vm.adaptive.window_ns). */
     Tick windowPeriod = 200 * kMillisecond;
     /** Windows averaged into one measurement (base or trial). */

@@ -54,8 +54,6 @@ AdaptivePolicy::attach(Kernel &kernel)
     TppPolicy::attach(kernel);
 
     SysctlRegistry &sysctl = kernel.sysctl();
-    sysctl.registerBool("vm.adaptive.enable", &acfg_.enable,
-                        [this] { maybeArm(); });
     sysctl.registerU64("vm.adaptive.window_ns", &acfg_.windowPeriod,
                        nullptr, /*min_value=*/kMillisecond);
     sysctl.registerU64("vm.adaptive.profile_windows",
@@ -93,19 +91,6 @@ void
 AdaptivePolicy::start()
 {
     TppPolicy::start();
-    started_ = true;
-    maybeArm();
-}
-
-void
-AdaptivePolicy::maybeArm()
-{
-    // The window daemon exists only while the tuner is enabled, so a
-    // disabled run schedules nothing extra and stays bit-identical to
-    // plain TPP (same event-queue contents, same ordering).
-    if (!acfg_.enable || !started_ || armed_)
-        return;
-    armed_ = true;
     for (std::size_t i = 0; i < kNumAdaptiveKnobs; ++i)
         initialKnobs_[i] = knobValue(static_cast<AdaptiveKnob>(i));
     prev_ = takeSnapshot();
@@ -138,13 +123,6 @@ AdaptivePolicy::takeSnapshot() const
 void
 AdaptivePolicy::windowTick()
 {
-    if (!acfg_.enable) {
-        // Killed mid-run via the sysctl: stop the daemon; a later
-        // re-enable re-arms through the sysctl's on-change hook.
-        armed_ = false;
-        return;
-    }
-
     Kernel &k = *kernel_;
     const Snapshot cur = takeSnapshot();
     const std::uint64_t d_total = cur.totalAccesses - prev_.totalAccesses;
@@ -453,9 +431,6 @@ AdaptivePolicy::restoreKnobs(
 double
 AdaptivePolicy::onHintFault(Pfn pfn, NodeId task_nid)
 {
-    if (!acfg_.enable)
-        return TppPolicy::onHintFault(pfn, task_nid);
-
     Kernel &k = *kernel_;
     const PageFrame &frame = k.mem().frame(pfn);
     if (k.mem().tiers().isToptier(frame.nid))

@@ -36,9 +36,8 @@
  * page with `flapFlips`+ recorded direction flips must show `flapBias`
  * extra touches inside the sliding window before it may promote again.
  *
- * With vm.adaptive.enable off (the default) every hook delegates
- * straight to TppPolicy and the simulation is bit-identical to the
- * static `tpp` policy.
+ * The tuner runs from start(); its "off" arm is the static `tpp`
+ * policy, which is what ablation_adaptive and fig19 compare against.
  */
 
 #ifndef TPP_POLICY_ADAPTIVE_ADAPTIVE_POLICY_HH
@@ -136,7 +135,6 @@ class AdaptivePolicy : public TppPolicy
         std::uint64_t sloOffered = 0;
     };
 
-    void maybeArm();
     void windowTick();
     Snapshot takeSnapshot() const;
     void handleMeasurement(double score);
@@ -157,8 +155,6 @@ class AdaptivePolicy : public TppPolicy
     AdaptiveConfig acfg_;
 
     // Window accounting.
-    bool armed_ = false;
-    bool started_ = false;
     std::uint32_t windowEpoch_ = 0;
     Snapshot prev_;
     double lastLocalShare_ = 0.0;

@@ -94,15 +94,17 @@ TEST(DriverDeathTest, BadWindowIsFatal)
 
 TEST(Harness, ParseRatio)
 {
-    EXPECT_NEAR(parseRatio("2:1"), 2.0 / 3.0, 1e-9);
-    EXPECT_NEAR(parseRatio("1:4"), 0.2, 1e-9);
-    EXPECT_NEAR(parseRatio("1:1"), 0.5, 1e-9);
+    EXPECT_NEAR(*parseRatioSpec("2:1"), 2.0 / 3.0, 1e-9);
+    EXPECT_NEAR(*parseRatioSpec("1:4"), 0.2, 1e-9);
+    EXPECT_NEAR(*parseRatioSpec("1:1"), 0.5, 1e-9);
 }
 
 TEST(HarnessDeathTest, BadRatioIsFatal)
 {
+    // A bad literal ratio is a programming error: unwrapping it trips
+    // Expected's assert.
     setLogVerbose(false);
-    EXPECT_DEATH(parseRatio("21"), "capacity ratio");
+    EXPECT_DEATH((void)*parseRatioSpec("21"), "hasValue");
 }
 
 TEST(Harness, MakePolicyByName)

@@ -19,7 +19,7 @@ smallConfig(const std::string &workload, const std::string &policy,
     cfg.workload = workload;
     cfg.wssPages = 8192;
     cfg.policy = policy;
-    cfg.localFraction = parseRatio(ratio);
+    cfg.localFraction = *parseRatioSpec(ratio);
     cfg.runUntil = 10 * kSecond;
     cfg.measureFrom = 6 * kSecond;
     return cfg;
@@ -103,7 +103,6 @@ TEST(Integration, DecouplingAblationDirection)
 {
     ExperimentConfig coupled = smallConfig("cache1", "tpp", "1:4");
     coupled.tpp.decoupleWatermarks = false;
-    coupled.tpp.promotionIgnoresWatermark = false;
     ExperimentConfig decoupled = smallConfig("cache1", "tpp", "1:4");
 
     const ExperimentResult r_coupled = runExperiment(coupled);

@@ -209,27 +209,6 @@ TEST(Memcg, ProtectionBreachesFloorWhenNothingElseRemains)
     (void)cost;
 }
 
-TEST(Memcg, ProtectionKillSwitchRestoresPlainReclaim)
-{
-    TestMachine m;
-    MemcgController &memcg = m.kernel.memcg();
-    const CgroupId victim = memcg.create("victim");
-    memcg.attach(m.asid, victim);
-    memcg.cgroup(victim).low = 64;
-    ASSERT_TRUE(m.kernel.sysctl().set("vm.memcg_protection", "0"));
-    EXPECT_FALSE(memcg.protectionActive());
-
-    const Vpn base = m.populate(16);
-    for (int i = 0; i < 16; ++i)
-        m.frameOf(base + i).clearFlag(PageFrame::FlagReferenced);
-    auto [reclaimed, cost] = m.kernel.directReclaim(0, 4);
-    EXPECT_EQ(reclaimed, 4u);
-    // With the switch off the floor never fires in either direction.
-    EXPECT_EQ(m.kernel.vmstat().get(Vm::MemcgReclaimProtected), 0u);
-    EXPECT_EQ(m.kernel.vmstat().get(Vm::MemcgReclaimLow), 0u);
-    (void)cost;
-}
-
 TEST(Memcg, CxlOnlyPlacementSteersAllocations)
 {
     TestMachine m;
@@ -377,7 +356,7 @@ TEST(TenantExperiment, ProducesPerTenantRows)
     cfg.workload = "cache1"; // ignored when tenants are given
     cfg.policy = "tpp";
     cfg.wssPages = 4096;
-    cfg.localFraction = parseRatio("2:3");
+    cfg.localFraction = *parseRatioSpec("2:3");
     cfg.runUntil = 3 * kSecond;
     cfg.measureFrom = 2 * kSecond;
     cfg.tenants = *parseTenants("cache1:low=0.5;churn");
@@ -426,7 +405,7 @@ TEST(TenantExperiment, LowFloorProtectsLocalResidency)
         ExperimentConfig cfg;
         cfg.policy = "tpp";
         cfg.wssPages = 4096;
-        cfg.localFraction = parseRatio("2:3");
+        cfg.localFraction = *parseRatioSpec("2:3");
         cfg.runUntil = 6 * kSecond;
         cfg.measureFrom = 3 * kSecond;
         TenantSpec victim;

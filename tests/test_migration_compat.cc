@@ -1,6 +1,6 @@
 /**
  * @file
- * Bit-identity anchor for the MigrationEngine's sync-compat mode.
+ * Bit-identity anchor for the MigrationEngine's sync mode.
  *
  * The golden fingerprints below were produced by the pre-engine tree
  * (migration inline in Kernel, flat MmCosts::migratePage cost) on
@@ -8,7 +8,7 @@
  * MigrationConfig (queue depth 1, admission off, flat copy cost) must
  * reproduce them exactly: same throughput and mean latency to the last
  * bit (%.17g), and the same value for every vmstat counter the seed
- * tree had. If one of these fails, the engine's compat path diverged
+ * tree had. If one of these fails, the engine's sync path diverged
  * from the old kernel_migrate.cc behaviour and every figure in
  * EXPERIMENTS.md is unanchored.
  *
@@ -80,7 +80,6 @@ goldenConfig(const GoldenCase &c)
     cfg.runUntil = 10 * kSecond;
     cfg.measureFrom = 6 * kSecond;
     cfg.seed = 1;
-    cfg.migration = MigrationConfig::compat();
     return cfg;
 }
 
@@ -110,10 +109,17 @@ TEST_P(MigrationCompat, BitIdenticalToPreEngineKernel)
         << c.tag;
     EXPECT_EQ(r.vmstat.get(Vm::PswpOut), c.swapOut) << c.tag;
 
-    // The compat mode must never exercise the async machinery.
+    // The sync mode must never exercise the async machinery.
     EXPECT_EQ(r.vmstat.get(Vm::PgMigrateQueued), 0u) << c.tag;
     EXPECT_EQ(r.vmstat.get(Vm::PgMigrateDeferred), 0u) << c.tag;
     EXPECT_EQ(r.vmstat.get(Vm::PgMigrateFailBusy), 0u) << c.tag;
+
+    // The memcg layer charges every fault, free and migration even when
+    // no cgroup exists; with no floor or budget configured that
+    // accounting must stay invisible.
+    EXPECT_EQ(r.vmstat.get(Vm::MemcgReclaimProtected), 0u) << c.tag;
+    EXPECT_EQ(r.vmstat.get(Vm::MemcgReclaimLow), 0u) << c.tag;
+    EXPECT_EQ(r.vmstat.get(Vm::MemcgMigrateThrottled), 0u) << c.tag;
 }
 
 INSTANTIATE_TEST_SUITE_P(Golden, MigrationCompat,
@@ -122,27 +128,8 @@ INSTANTIATE_TEST_SUITE_P(Golden, MigrationCompat,
                              return std::string(info.param.tag);
                          });
 
-TEST(MigrationCompatMemcg, PlumbingIsInertWhenUnconfigured)
-{
-    // The memcg layer charges every fault, free and migration even when
-    // no cgroup exists. That always-on accounting must be invisible:
-    // with the protection switch explicitly set (to its default) and no
-    // floor configured, a golden config reproduces its fingerprint
-    // bit-for-bit and the new memcg counters stay silent.
-    const GoldenCase &c = kGolden[1]; // fig15_web_tpp
-    ExperimentConfig cfg = goldenConfig(c);
-    cfg.sysctls.emplace_back("vm.memcg_protection", "1");
-    const ExperimentResult r = runExperiment(cfg);
-    EXPECT_EQ(r.throughput, c.throughput);
-    EXPECT_EQ(r.meanAccessLatencyNs, c.meanLatencyNs);
-    EXPECT_EQ(seedVmHash(r.vmstat), c.vmsum);
-    EXPECT_EQ(r.vmstat.get(Vm::MemcgReclaimProtected), 0u);
-    EXPECT_EQ(r.vmstat.get(Vm::MemcgReclaimLow), 0u);
-    EXPECT_EQ(r.vmstat.get(Vm::MemcgMigrateThrottled), 0u);
-}
-
 // The headline figure shapes must also hold when the full asynchronous,
-// transactional engine replaces the compat mode: TPP stays close to
+// transactional engine replaces the sync mode: TPP stays close to
 // all-local (the paper's central claim) and keeps beating default
 // Linux, which in turn beats NUMA Balancing on cache-like workloads
 // (fig 19 ordering).

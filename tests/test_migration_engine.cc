@@ -48,7 +48,7 @@ struct AsyncMachine : TestMachine {
 
 TEST(MigrationEngine, CompatModeIsSynchronous)
 {
-    TestMachine m; // default MigrationConfig = sync-compat
+    TestMachine m; // default MigrationConfig = sync mode
     const Vpn base = m.populate(1);
     const Pfn pfn = m.pte(base).pfn;
     auto res = m.kernel.migration().demote(pfn);

@@ -347,7 +347,7 @@ TEST(PptGolden, ExplicitOffReproducesGoldenFingerprints)
         cfg.runUntil = 10 * kSecond;
         cfg.measureFrom = 6 * kSecond;
         cfg.seed = 1;
-        cfg.migration = MigrationConfig::compat();
+        cfg.migration = MigrationConfig{};
         cfg.sysctls.emplace_back("vm.ppt.enable", "0");
         const ExperimentResult r = runExperiment(cfg);
         EXPECT_EQ(r.throughput, p.throughput) << p.tag;

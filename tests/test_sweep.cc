@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel sweep engine (ThreadPool, SweepRunner,
  * BaselineCache), the policy/workload registries, and the hardened
- * parseRatio().
+ * parseRatioSpec().
  */
 
 #include <atomic>
@@ -33,7 +33,7 @@ smallConfig(const std::string &workload, const std::string &policy,
     cfg.workload = workload;
     cfg.policy = policy;
     cfg.wssPages = 4096;
-    cfg.localFraction = parseRatio(ratio);
+    cfg.localFraction = *parseRatioSpec(ratio);
     cfg.runUntil = 3 * kSecond;
     cfg.measureFrom = 2 * kSecond;
     return cfg;
@@ -193,7 +193,7 @@ TEST(Sweep, CanonicalKeySeparatesConfigs)
     EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
 
     // The MigrationEngine mode changes simulation results and must
-    // never share a memo slot with the compat mode.
+    // never share a memo slot with the sync mode.
     copy = cfg;
     copy.migration = MigrationConfig::asyncEngine();
     EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
@@ -368,6 +368,37 @@ TEST(Sweep, RejectsOneBadConfigAndRunsTheRest)
     EXPECT_EQ(results[1].throughput, 0.0);
 }
 
+TEST(Sweep, RejectsAnUnknownSysctlAndRunsTheRest)
+{
+    // A sysctl only the kernel can judge: the run is rejected before
+    // its event queue starts, and the rest of the sweep still runs.
+    ExperimentConfig good = smallConfig("web", "linux", "1:1");
+    ExperimentConfig bad = good;
+    bad.sysctls.emplace_back("vm.bogus", "1");
+    ExperimentConfig bad_value = good;
+    bad_value.sysctls.emplace_back("vm.ppt.enable", "2");
+
+    SweepOptions opts;
+    opts.jobs = 1;
+    const std::vector<ExperimentResult> results =
+        SweepRunner(opts).run({good, bad, bad_value});
+
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_FALSE(results[0].failed());
+    EXPECT_GT(results[0].throughput, 0.0);
+    ASSERT_TRUE(results[1].failed());
+    EXPECT_NE(results[1].error.find("vm.bogus"), std::string::npos)
+        << results[1].error;
+    EXPECT_EQ(results[1].throughput, 0.0);
+    EXPECT_EQ(results[1].workload, "web");
+    EXPECT_EQ(results[1].policy, "linux");
+    ASSERT_TRUE(results[2].failed());
+    EXPECT_NE(results[2].error.find("value rejected"), std::string::npos)
+        << results[2].error;
+    EXPECT_NE(results[2].error.find("vm.ppt.enable=2"), std::string::npos)
+        << results[2].error;
+}
+
 TEST(Export, CsvQuotesHostileFields)
 {
     EXPECT_EQ(csvField("plain"), "plain");
@@ -440,32 +471,34 @@ TEST(RegistryDeathTest, UnknownNamesListTheRegistered)
 
 TEST(ParseRatio, AcceptsWellFormedRatios)
 {
-    EXPECT_NEAR(parseRatio("2:1"), 2.0 / 3.0, 1e-12);
-    EXPECT_NEAR(parseRatio("1:4"), 0.2, 1e-12);
-    EXPECT_NEAR(parseRatio("1:0"), 1.0, 1e-12); // all-local as a ratio
-    EXPECT_NEAR(parseRatio("1.5:0.5"), 0.75, 1e-12);
+    EXPECT_NEAR(*parseRatioSpec("2:1"), 2.0 / 3.0, 1e-12);
+    EXPECT_NEAR(*parseRatioSpec("1:4"), 0.2, 1e-12);
+    EXPECT_NEAR(*parseRatioSpec("1:0"), 1.0, 1e-12); // all-local as a ratio
+    EXPECT_NEAR(*parseRatioSpec("1.5:0.5"), 0.75, 1e-12);
+}
+
+/** Every ratio in `bad` must come back as an error naming the ratio. */
+void
+expectRatioRejected(std::initializer_list<const char *> bad)
+{
+    for (const char *ratio : bad) {
+        const SpecResult<double> got = parseRatioSpec(ratio);
+        ASSERT_FALSE(bool(got)) << ratio;
+        EXPECT_NE(got.error().render().find("capacity ratio"),
+                  std::string::npos)
+            << ratio << " -> " << got.error().render();
+    }
 }
 
 TEST(ParseRatioDeathTest, RejectsMalformedRatios)
 {
-    setLogVerbose(false);
-    EXPECT_DEATH(parseRatio(""), "capacity ratio");
-    EXPECT_DEATH(parseRatio("21"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("2:"), "capacity ratio");
-    EXPECT_DEATH(parseRatio(":1"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("2:1:3"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("a:b"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("2x:1"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("nan:1"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("inf:1"), "capacity ratio");
+    expectRatioRejected({"", "21", "2:", ":1", "2:1:3", "a:b", "2x:1",
+                         "nan:1", "inf:1"});
 }
 
 TEST(ParseRatioDeathTest, RejectsNonPositiveShares)
 {
-    setLogVerbose(false);
-    EXPECT_DEATH(parseRatio("0:1"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("-1:4"), "capacity ratio");
-    EXPECT_DEATH(parseRatio("1:-4"), "capacity ratio");
+    expectRatioRejected({"0:1", "-1:4", "1:-4"});
 }
 
 } // namespace
