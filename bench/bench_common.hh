@@ -33,17 +33,19 @@
  * byte-identical with or without these flags (tests/test_trace.cc).
  *
  * Malformed spec-valued flags (--tenants, --sysctl, --qps, --arrival,
- * --slo, --topology), flag combinations ExperimentConfig::validate()
- * refuses, and a --sysctl the kernel does not have or whose value it
- * refuses print the diagnostic — naming the bad token — and exit with
- * status 2, so scripts can tell "bad invocation" from a simulator
- * failure.
+ * --slo, --topology), malformed counts (--wss, --jobs, --seed,
+ * --sample-ms and PAGES: base-10 digits only, via parseSpecU64), flag
+ * combinations ExperimentConfig::validate() refuses, and a --sysctl
+ * the kernel does not have or whose value it refuses print the
+ * diagnostic — naming the bad token — and exit with status 2, so
+ * scripts can tell "bad invocation" from a simulator failure.
  */
 
 #ifndef TPP_BENCH_BENCH_COMMON_HH
 #define TPP_BENCH_BENCH_COMMON_HH
 
-#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -104,22 +106,6 @@ specValueOrDie(SpecResult<T> result)
     return std::move(*result);
 }
 
-/** Strict unsigned parse; fatal() on trailing junk or overflow. */
-inline std::uint64_t
-parseCount(const char *flag, const std::string &text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(text.c_str(), &end, 0);
-    if (text.empty() || end != text.c_str() + text.size() ||
-        errno == ERANGE || text[0] == '-') {
-        tpp_fatal("%s expects an unsigned integer, got '%s'", flag,
-                  text.c_str());
-    }
-    return value;
-}
-
 inline void
 printUsage(const char *argv0)
 {
@@ -151,12 +137,12 @@ parseBenchArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--wss") {
-            opt.wssPages = parseCount("--wss", next());
+            opt.wssPages = specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--jobs") {
-            opt.jobs =
-                static_cast<unsigned>(parseCount("--jobs", next()));
+            opt.jobs = static_cast<unsigned>(
+                specValueOrDie(parseSpecU64(next(), 0, UINT_MAX)));
         } else if (arg == "--seed") {
-            opt.seed = parseCount("--seed", next());
+            opt.seed = specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--csv") {
             opt.csvPath = next();
         } else if (arg == "--trace") {
@@ -165,9 +151,8 @@ parseBenchArgs(int argc, char **argv)
             opt.traceOutPath = next();
             opt.trace = true;
         } else if (arg == "--sample-ms") {
-            opt.sampleMs = parseCount("--sample-ms", next());
-            if (opt.sampleMs == 0)
-                tpp_fatal("--sample-ms expects a period > 0");
+            opt.sampleMs = specValueOrDie(
+                parseSpecU64(next(), 1, UINT64_MAX / kMillisecond));
         } else if (arg == "--tenants") {
             opt.tenantsSpec = next();
         } else if (arg == "--topology") {
@@ -196,7 +181,7 @@ parseBenchArgs(int argc, char **argv)
             printUsage(argv[0]);
             std::exit(0);
         } else if (!arg.empty() && arg[0] != '-' && !saw_positional) {
-            opt.wssPages = parseCount("working-set size", arg);
+            opt.wssPages = specValueOrDie(parseSpecU64(arg));
             saw_positional = true;
         } else {
             tpp_fatal("unknown argument '%s' (try --help)", arg.c_str());

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hh"
 
@@ -25,7 +24,7 @@ main(int argc, char **argv)
     ExperimentConfig cfg;
     cfg.workload = argc > 1 ? argv[1] : "web";
     if (argc > 2)
-        cfg.wssPages = std::strtoull(argv[2], nullptr, 0);
+        cfg.wssPages = bench::specValueOrDie(parseSpecU64(argv[2]));
     cfg.allLocal = true;
     cfg.policy = "linux";
     cfg.withChameleon = true;

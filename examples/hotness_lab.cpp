@@ -76,18 +76,19 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--workload") {
             opt.workload = next();
         } else if (arg == "--wss") {
-            opt.wss = bench::parseCount("--wss", next());
+            opt.wss = bench::specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--seed") {
-            opt.seed = bench::parseCount("--seed", next());
+            opt.seed = bench::specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(
-                bench::parseCount("--jobs", next()));
+            opt.jobs = static_cast<unsigned>(bench::specValueOrDie(
+                parseSpecU64(next(), 0, UINT_MAX)));
         } else if (arg == "--epoch-ms") {
-            opt.epochMs = bench::parseCount("--epoch-ms", next());
+            opt.epochMs = bench::specValueOrDie(
+                parseSpecU64(next(), 0, UINT64_MAX / kMillisecond));
         } else if (arg == "--batch") {
-            opt.batch = bench::parseCount("--batch", next());
+            opt.batch = bench::specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--table") {
-            opt.tableSize = bench::parseCount("--table", next());
+            opt.tableSize = bench::specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {

@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hh"
 
@@ -23,7 +22,7 @@ main(int argc, char **argv)
     cfg.workload = "web";
     cfg.localFraction = *parseRatioSpec("2:1");
     if (argc > 1)
-        cfg.wssPages = std::strtoull(argv[1], nullptr, 0);
+        cfg.wssPages = bench::specValueOrDie(parseSpecU64(argv[1]));
 
     std::printf("Web on a 2:1 local:CXL tiered machine (%llu pages WSS)\n\n",
                 static_cast<unsigned long long>(cfg.wssPages));

@@ -92,12 +92,12 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--topology") {
             opt.topologySpec = next();
         } else if (arg == "--wss") {
-            opt.wss = bench::parseCount("--wss", next());
+            opt.wss = bench::specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--seed") {
-            opt.seed = bench::parseCount("--seed", next());
+            opt.seed = bench::specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(
-                bench::parseCount("--jobs", next()));
+            opt.jobs = static_cast<unsigned>(bench::specValueOrDie(
+                parseSpecU64(next(), 0, UINT_MAX)));
         } else if (arg == "--sysctl") {
             opt.sysctls.push_back(
                 bench::specValueOrDie(parseAssignment(next())));

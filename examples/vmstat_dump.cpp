@@ -15,7 +15,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.hh"
@@ -39,7 +38,7 @@ main(int argc, char **argv)
     cfg.localFraction =
         bench::specValueOrDie(parseRatioSpec(argc > 3 ? argv[3] : "2:1"));
     if (argc > 4)
-        cfg.wssPages = std::strtoull(argv[4], nullptr, 0);
+        cfg.wssPages = bench::specValueOrDie(parseSpecU64(argv[4]));
 
     const ExperimentResult res = runExperiment(cfg);
     bench::requireSimulated({res});

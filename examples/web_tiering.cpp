@@ -15,7 +15,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hh"
 
@@ -76,7 +75,7 @@ main(int argc, char **argv)
     cfg.workload = "web";
     cfg.localFraction = *parseRatioSpec("2:1");
     if (argc > 1)
-        cfg.wssPages = std::strtoull(argv[1], nullptr, 0);
+        cfg.wssPages = bench::specValueOrDie(parseSpecU64(argv[1]));
 
     std::printf("Web serving on a 2:1 tiered machine — "
                 "%llu-page working set\n",

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <unordered_map>
 
-#include "harness/sweep.hh"
 #include "hotness/hotness_policy.hh"
 #include "policy/adaptive/adaptive_policy.hh"
 #include "mem/node.hh"
@@ -842,22 +841,6 @@ runExperiment(const ExperimentConfig &cfg)
             chameleon->meanHotFraction(PageType::File);
     }
     return result;
-}
-
-double
-relativeToAllLocal(const ExperimentConfig &cfg, ExperimentResult *out,
-                   ExperimentResult *baseline_out)
-{
-    const ExperimentResult baseline =
-        BaselineCache::instance().getOrRun(allLocalTwin(cfg));
-    const ExperimentResult result = runExperiment(cfg);
-    if (out)
-        *out = result;
-    if (baseline_out)
-        *baseline_out = baseline;
-    if (baseline.throughput <= 0.0)
-        return 0.0;
-    return result.throughput / baseline.throughput;
 }
 
 } // namespace tpp

@@ -327,18 +327,6 @@ std::unique_ptr<PlacementPolicy> makePolicy(const ExperimentConfig &cfg);
  */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
 
-/**
- * Run `cfg` against its all-local twin and report throughput relative
- * to it (the paper's "performance w.r.t. all-from-local" metric).
- *
- * The twin runs through the process-wide BaselineCache
- * (harness/sweep.hh): comparing N policies against the same baseline
- * simulates the baseline once, not N times.
- */
-double relativeToAllLocal(const ExperimentConfig &cfg,
-                          ExperimentResult *out = nullptr,
-                          ExperimentResult *baseline_out = nullptr);
-
 } // namespace tpp
 
 #endif // TPP_HARNESS_EXPERIMENT_HH

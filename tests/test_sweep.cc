@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the parallel sweep engine (ThreadPool, SweepRunner,
- * BaselineCache), the policy/workload registries, and the hardened
- * parseRatioSpec().
+ * Tests for the parallel sweep engine (ThreadPool, SweepRunner), the
+ * policy/workload registries, and the hardened parseRatioSpec().
  */
 
 #include <atomic>
@@ -89,12 +88,10 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
         for (const char *ratio : {"2:1", "1:4"})
             cfgs.push_back(smallConfig("cache1", policy, ratio));
 
-    BaselineCache::instance().clear();
     SweepOptions serial;
     serial.jobs = 1;
     const auto serial_results = SweepRunner(serial).run(cfgs);
 
-    BaselineCache::instance().clear();
     SweepOptions parallel;
     parallel.jobs = 4;
     const auto parallel_results = SweepRunner(parallel).run(cfgs);
@@ -108,241 +105,23 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
     }
 }
 
-TEST(Sweep, MemoizationSimulatesDuplicatesOnce)
+TEST(Sweep, ConfigsDifferingOnlyInAdaptiveRunSeparately)
 {
-    // Three identical all-local configs: with memoization only the
-    // leader reaches the BaselineCache, so exactly one miss.
-    BaselineCache::instance().clear();
-    ExperimentConfig cfg = smallConfig("web", "linux", "2:1");
-    cfg.allLocal = true;
-    const std::vector<ExperimentConfig> cfgs = {cfg, cfg, cfg};
+    // Two configs that differ in nothing but an AdaptiveConfig field:
+    // each must get the result of its own run, not the other's.
+    ExperimentConfig fast = smallConfig("cache1", "adaptive", "1:4");
+    ExperimentConfig slow = fast;
+    fast.adaptive.windowPeriod = 100 * kMillisecond;
+    slow.adaptive.windowPeriod = 400 * kMillisecond;
 
     SweepOptions opts;
-    opts.jobs = 2;
-    const auto results = SweepRunner(opts).run(cfgs);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 0u);
-    EXPECT_EQ(fingerprint(results[0]), fingerprint(results[1]));
-    EXPECT_EQ(fingerprint(results[0]), fingerprint(results[2]));
+    opts.jobs = 1;
+    const auto results = SweepRunner(opts).run({fast, slow});
 
-    // Without memoization every copy consults the cache instead.
-    BaselineCache::instance().clear();
-    opts.memoize = false;
-    const auto raw = SweepRunner(opts).run(cfgs);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 2u);
-    EXPECT_EQ(fingerprint(raw[0]), fingerprint(results[0]));
-}
-
-TEST(Sweep, BaselineCacheServesRelativeRuns)
-{
-    BaselineCache::instance().clear();
-    ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
-
-    ExperimentResult run1, baseline1;
-    const double rel1 = relativeToAllLocal(cfg, &run1, &baseline1);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 0u);
-
-    // A second policy against the same machine reuses the baseline.
-    cfg.policy = "linux";
-    ExperimentResult run2, baseline2;
-    const double rel2 = relativeToAllLocal(cfg, &run2, &baseline2);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 1u);
-
-    EXPECT_EQ(fingerprint(baseline1), fingerprint(baseline2));
-    EXPECT_GT(rel1, 0.0);
-    EXPECT_GT(rel2, 0.0);
-}
-
-TEST(Sweep, CanonicalKeySeparatesConfigs)
-{
-    const ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
-    ExperimentConfig copy = cfg;
-    EXPECT_EQ(canonicalKey(cfg), canonicalKey(copy));
-
-    copy.seed = 2;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.tpp.scanBatch += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.sysctls.emplace_back("vm.demote_scale_factor", "40");
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    // Telemetry fields separate configs too: a traced result carries
-    // different payload than an untraced one and must not share a memo
-    // slot.
-    copy = cfg;
-    copy.traceEnabled = true;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.traceCapacity = 1024;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.sampleSeries = true;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.samplePeriod = 42;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    // The MigrationEngine mode changes simulation results and must
-    // never share a memo slot with the sync mode.
-    copy = cfg;
-    copy.migration = MigrationConfig::asyncEngine();
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.migration.rateLimitMBps = 64.0;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    // The twin differs from its source and strips policy state — and
-    // telemetry, so every figure shares one cached baseline run.
-    ExperimentConfig source = cfg;
-    source.traceEnabled = true;
-    source.sampleSeries = true;
-    source.samplePeriod = 42;
-    const ExperimentConfig twin = allLocalTwin(source);
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(twin));
-    EXPECT_TRUE(twin.allLocal);
-    EXPECT_EQ(twin.policy, "linux");
-    EXPECT_TRUE(twin.sysctls.empty());
-    EXPECT_FALSE(twin.traceEnabled);
-    EXPECT_FALSE(twin.sampleSeries);
-    EXPECT_EQ(twin.samplePeriod, 0u);
-}
-
-TEST(Sweep, CanonicalKeySeparatesHotnessConfigs)
-{
-    // Two configs differing only in hotness settings must never share a
-    // memo slot — the PR-3 lesson, re-learned for src/hotness.
-    const ExperimentConfig cfg = smallConfig("cache1", "hotness", "1:4");
-    ExperimentConfig copy = cfg;
-    EXPECT_EQ(canonicalKey(cfg), canonicalKey(copy));
-
-    copy.hotness.source = "neoprof";
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.epochPeriod += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.promoteBatch += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.hotWindow += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.hotThreshold += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.counterTableSize += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.decayHalfLife += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    copy = cfg;
-    copy.hotness.targetQuantile = 0.9;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    // Recall measurement changes what the result carries (like
-    // telemetry): no shared memo slot, and the all-local twin drops it.
-    copy = cfg;
-    copy.measureHotness = true;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-    EXPECT_FALSE(allLocalTwin(copy).measureHotness);
-}
-
-TEST(Sweep, CanonicalKeyTwinStripsState)
-{
-    const ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
-    ExperimentConfig source = cfg;
-    source.traceEnabled = true;
-    source.sampleSeries = true;
-    source.samplePeriod = 42;
-    const ExperimentConfig twin = allLocalTwin(source);
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(twin));
-    EXPECT_TRUE(twin.allLocal);
-    EXPECT_EQ(twin.policy, "linux");
-    EXPECT_TRUE(twin.sysctls.empty());
-    EXPECT_FALSE(twin.traceEnabled);
-    EXPECT_FALSE(twin.sampleSeries);
-    EXPECT_EQ(twin.samplePeriod, 0u);
-}
-
-TEST(Sweep, CanonicalKeySeparatesTenantConfigs)
-{
-    // Multi-tenant runs share a kernel between workloads: a config with
-    // tenants simulates a different machine than the same config
-    // without, and every tenant knob feeds the result.
-    const ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
-    ExperimentConfig copy = cfg;
-    TenantSpec tenant;
-    tenant.workload = "cache1";
-    copy.tenants.push_back(tenant);
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    ExperimentConfig other = copy;
-    other.tenants[0].wssPages = 2048;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
-
-    other = copy;
-    other.tenants[0].lowFraction = 0.6;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
-
-    other = copy;
-    other.tenants[0].budgetMBps = 10.0;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
-
-    other = copy;
-    other.tenants[0].placement = "cxl_only";
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
-
-    // The all-local baseline is a single-workload machine: the twin
-    // strips tenants so every pairing shares one cached baseline.
-    EXPECT_TRUE(allLocalTwin(copy).tenants.empty());
-}
-
-TEST(Sweep, CanonicalKeySeparatesOpenLoopConfigs)
-{
-    const ExperimentConfig cfg = smallConfig("web", "tpp", "1:4");
-    ExperimentConfig copy = cfg;
-    copy.openLoop.qps = 1e5;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
-
-    ExperimentConfig other = copy;
-    other.openLoop.arrival = "bursty";
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
-
-    other = copy;
-    other.openLoop.sloP99Us = 500.0;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
-
-    // A tenant's qps feeds the key too.
-    ExperimentConfig tenanted = cfg;
-    TenantSpec tenant;
-    tenant.workload = "web";
-    tenanted.tenants.push_back(tenant);
-    ExperimentConfig tenanted_ol = tenanted;
-    tenanted_ol.tenants[0].openLoop.qps = 1e5;
-    EXPECT_NE(canonicalKey(tenanted), canonicalKey(tenanted_ol));
-
-    // The all-local twin is closed-loop: open-loop shape must not
-    // split the shared baseline cache entry.
-    EXPECT_EQ(canonicalKey(allLocalTwin(cfg)),
-              canonicalKey(allLocalTwin(copy)));
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(fingerprint(results[0]), fingerprint(runExperiment(fast)));
+    EXPECT_EQ(fingerprint(results[1]), fingerprint(runExperiment(slow)));
+    EXPECT_NE(fingerprint(results[0]), fingerprint(results[1]));
 }
 
 TEST(Sweep, RejectsOneBadConfigAndRunsTheRest)

@@ -22,7 +22,7 @@
  * on stdout for scripted consumers (CI, plotting).
  */
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "harness/table.hh"
 #include "sim/logging.hh"
 #include "trace/summary.hh"
@@ -39,19 +40,6 @@
 namespace {
 
 using namespace tpp;
-
-std::uint64_t
-parseCount(const char *flag, const std::string &text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-    if (text.empty() || end != text.c_str() + text.size() ||
-        errno == ERANGE || text[0] == '-')
-        tpp_fatal("%s expects an unsigned integer, got '%s'", flag,
-                  text.c_str());
-    return value;
-}
 
 /** Events that read as per-second rates in the window table. */
 constexpr TraceEvent kRateColumns[] = {
@@ -463,12 +451,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--window-ms") {
-            const std::uint64_t ms = parseCount("--window-ms", next());
-            if (ms == 0)
-                tpp_fatal("--window-ms expects a window > 0");
-            window_ns = ms * kMillisecond;
+            window_ns = bench::specValueOrDie(parseSpecU64(
+                            next(), 1, UINT64_MAX / kMillisecond)) *
+                        kMillisecond;
         } else if (arg == "--top") {
-            top_n = parseCount("--top", next());
+            top_n = bench::specValueOrDie(parseSpecU64(next(), 0, SIZE_MAX));
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--help" || arg == "-h") {
