@@ -90,24 +90,9 @@ main(int argc, char **argv)
 {
     using namespace tpp;
 
-    // Peel off --preset before the shared parser sees the argv.
-    std::string preset = "full";
-    std::vector<char *> rest;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--preset") {
-            if (i + 1 >= argc)
-                tpp_fatal("missing value after --preset");
-            preset = argv[++i];
-            if (preset != "smoke" && preset != "full")
-                tpp_fatal("--preset expects smoke|full, got '%s'",
-                          preset.c_str());
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    const bench::BenchOptions opt = bench::parseBenchArgs(
-        static_cast<int>(rest.size()), rest.data());
+    const std::string preset =
+        bench::peelChoice(argc, argv, "--preset", {"full", "smoke"});
+    const bench::BenchOptions opt = bench::parseBenchArgs(argc, argv);
     const bool smoke = preset == "smoke";
 
     bench::banner("Ablation: memcg protection",

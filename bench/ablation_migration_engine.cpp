@@ -114,24 +114,9 @@ main(int argc, char **argv)
 {
     using namespace tpp;
 
-    // Peel off --mode before the shared parser sees the argv.
-    std::string mode = "all";
-    std::vector<char *> rest;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--mode") {
-            if (i + 1 >= argc)
-                tpp_fatal("missing value after --mode");
-            mode = argv[++i];
-            if (mode != "sync" && mode != "async" && mode != "all")
-                tpp_fatal("--mode expects sync|async|all, got '%s'",
-                          mode.c_str());
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    const bench::BenchOptions opt = bench::parseBenchArgs(
-        static_cast<int>(rest.size()), rest.data());
+    const std::string mode =
+        bench::peelChoice(argc, argv, "--mode", {"all", "sync", "async"});
+    const bench::BenchOptions opt = bench::parseBenchArgs(argc, argv);
 
     bench::banner("Ablation: MigrationEngine",
                   "async/transactional migration + admission control "

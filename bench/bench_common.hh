@@ -32,19 +32,21 @@
  * run *records*, never what it computes — the printed tables are
  * byte-identical with or without these flags (tests/test_trace.cc).
  *
- * Malformed spec-valued flags (--tenants, --sysctl, --qps, --arrival,
- * --slo, --topology), malformed counts (--wss, --jobs, --seed,
- * --sample-ms and PAGES: base-10 digits only, via parseSpecU64), flag
- * combinations ExperimentConfig::validate() refuses, and a --sysctl
- * the kernel does not have or whose value it refuses print the
- * diagnostic — naming the bad token — and exit with status 2, so
- * scripts can tell "bad invocation" from a simulator failure.
+ * An unknown argument, a flag missing its value, malformed spec-valued
+ * flags (--tenants, --sysctl, --qps, --arrival, --slo, --topology),
+ * malformed counts (--wss, --jobs, --seed, --sample-ms and PAGES:
+ * base-10 digits only, via parseSpecU64), flag combinations
+ * ExperimentConfig::validate() refuses, and a --sysctl the kernel does
+ * not have or whose value it refuses print the diagnostic — naming the
+ * bad token — and exit with status 2 (badInvocation), so scripts can
+ * tell "bad invocation" from a simulator failure.
  */
 
 #ifndef TPP_BENCH_BENCH_COMMON_HH
 #define TPP_BENCH_BENCH_COMMON_HH
 
 #include <climits>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -90,20 +92,99 @@ struct BenchOptions {
     OpenLoopSpec openLoop;
 };
 
-/** Exit status for malformed spec-valued flags (vs. 1 for fatals). */
+/** Exit status for a bad invocation (vs. 1 for fatals). */
 inline constexpr int kBadSpecExit = 2;
+
+/** Print "error: <message>" and exit(2): the invocation was bad. */
+[[noreturn]] inline void badInvocation(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
+inline void
+badInvocation(const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::fputs("error: ", stderr);
+    std::vfprintf(stderr, fmt, args);
+    std::fputc('\n', stderr);
+    va_end(args);
+    std::exit(kBadSpecExit);
+}
 
 /** Unwrap a spec result or print its diagnostic and exit(2). */
 template <typename T>
 inline T
 specValueOrDie(SpecResult<T> result)
 {
-    if (!result) {
-        std::fprintf(stderr, "error: %s\n",
-                     result.error().render().c_str());
-        std::exit(kBadSpecExit);
-    }
+    if (!result)
+        badInvocation("%s", result.error().render().c_str());
     return std::move(*result);
+}
+
+/** The value after flag argv[i], advancing i; exit(2) if there is none. */
+inline std::string
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        badInvocation("missing value after %s", argv[i]);
+    return argv[++i];
+}
+
+/** Exit 2 unless `value`, given to `flag`, is one of `choices`. */
+inline void
+requireChoice(const std::string &flag, const std::string &value,
+              const std::vector<std::string> &choices)
+{
+    std::string known;
+    for (const std::string &choice : choices) {
+        if (choice == value)
+            return;
+        known += (known.empty() ? "" : "|") + choice;
+    }
+    badInvocation("%s expects %s, got '%s'", flag.c_str(), known.c_str(),
+                  value.c_str());
+}
+
+/**
+ * Take "FLAG VALUE" out of argv (shrinking argc), so that the rest can
+ * go to parseBenchArgs. Returns VALUE, or choices.front() when FLAG is
+ * absent; a VALUE outside `choices` exits 2.
+ */
+inline std::string
+peelChoice(int &argc, char **argv, const std::string &flag,
+           const std::vector<std::string> &choices)
+{
+    std::string value = choices.front();
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        if (argv[i] == flag)
+            value = flagValue(argc, argv, i);
+        else
+            argv[kept++] = argv[i];
+    }
+    argc = kept;
+    requireChoice(flag, value, choices);
+    return value;
+}
+
+/** Split a comma-separated name list; an empty list exits 2. */
+inline std::vector<std::string>
+splitList(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::string::size_type start = 0;
+    while (start <= text.size()) {
+        const auto comma = text.find(',', start);
+        const auto end = comma == std::string::npos ? text.size() : comma;
+        if (end > start)
+            out.push_back(text.substr(start, end - start));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    if (out.empty())
+        badInvocation("empty name list '%s'", text.c_str());
+    return out;
 }
 
 inline void
@@ -131,11 +212,7 @@ parseBenchArgs(int argc, char **argv)
     bool saw_positional = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                tpp_fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+        auto next = [&] { return flagValue(argc, argv, i); };
         if (arg == "--wss") {
             opt.wssPages = specValueOrDie(parseSpecU64(next()));
         } else if (arg == "--jobs") {
@@ -165,12 +242,9 @@ parseBenchArgs(int argc, char **argv)
                 specValueOrDie(parseSpecDouble(next(), 0.0, 1e9));
         } else if (arg == "--arrival") {
             const std::string name = next();
-            if (!ArrivalProcess::known(name)) {
-                std::fprintf(stderr,
-                             "error: unknown --arrival '%s' (want %s)\n",
-                             name.c_str(), ArrivalProcess::knownNames());
-                std::exit(kBadSpecExit);
-            }
+            if (!ArrivalProcess::known(name))
+                badInvocation("unknown --arrival '%s' (want %s)",
+                              name.c_str(), ArrivalProcess::knownNames());
             opt.openLoop.arrival = name;
         } else if (arg == "--slo") {
             opt.openLoop.sloP99Us =
@@ -184,7 +258,7 @@ parseBenchArgs(int argc, char **argv)
             opt.wssPages = specValueOrDie(parseSpecU64(arg));
             saw_positional = true;
         } else {
-            tpp_fatal("unknown argument '%s' (try --help)", arg.c_str());
+            badInvocation("unknown argument '%s' (try --help)", arg.c_str());
         }
     }
     setLogVerbose(opt.verbose);
@@ -200,11 +274,8 @@ parseBenchArgs(int argc, char **argv)
 inline void
 requireValid(const ExperimentConfig &cfg)
 {
-    if (SpecResult<void> valid = cfg.validate(); !valid) {
-        std::fprintf(stderr, "error: %s\n",
-                     valid.error().render().c_str());
-        std::exit(kBadSpecExit);
-    }
+    if (SpecResult<void> valid = cfg.validate(); !valid)
+        badInvocation("%s", valid.error().render().c_str());
 }
 
 /**
@@ -251,12 +322,9 @@ makeConfig(const BenchOptions &opt)
 inline void
 requireSimulated(const std::vector<ExperimentResult> &results)
 {
-    for (const ExperimentResult &r : results) {
-        if (r.failed()) {
-            std::fprintf(stderr, "error: %s\n", r.error.c_str());
-            std::exit(kBadSpecExit);
-        }
-    }
+    for (const ExperimentResult &r : results)
+        if (r.failed())
+            badInvocation("%s", r.error.c_str());
 }
 
 /** Run the binary's sweep under --jobs/--verbose; requireSimulated(). */

@@ -6,21 +6,13 @@
  * own overheads and document the relative costs the policies pay.
  *
  * The BM_E2E* benchmarks run whole fault+reclaim / promote passes over
- * a configurable footprint (TPP_E2E_PAGES, default 2^18 pages) and
- * report pages/sec rate counters; together with the pages_per_sec
- * counters on the fault, reclaim-scan and LRU-surgery benchmarks they
- * feed the CI perf gate:
- *
- *     micro_mm_ops --benchmark_format=json > out.json
- *     tools/check_perf.py out.json bench/perf_baseline.json
- *
- * (fail on >25% regression, warn on >10%; see README "Performance &
- * perf gate").
+ * a 2^18-page footprint and report pages/sec rate counters. No gate
+ * reads these numbers: they explain where the time of an end-to-end
+ * perfbench run goes (see README "Performance & perf gate").
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "core/tpp_policy.hh"
@@ -223,8 +215,8 @@ BM_AdaptiveWindowTick(benchmark::State &state)
     // vmstat snapshot differencing, objective scoring, touch-filter
     // epoch upkeep and the occasional knob step through the sysctl
     // surface. Every window pays this whether or not a knob
-    // moves, so the perf-gate entry for it reads direction LOWER
-    // (seconds per window, smaller is better) rather than as a rate.
+    // moves, so it is reported as seconds per window (smaller is
+    // better) rather than as a rate.
     PolicyParams params;
     params.adaptive.windowPeriod = 1 * kMillisecond;
     Machine m(8192, 8192, std::make_unique<AdaptivePolicy>(params));
@@ -243,24 +235,10 @@ BENCHMARK(BM_AdaptiveWindowTick);
 // End-to-end throughput: whole passes over a large footprint under TPP,
 // exercising fault, watermark reclaim/demotion, NUMA sampling and
 // promotion together — the paths the SoA frame table was built for.
-// The footprint defaults to 2^18 pages (1 GiB) so CI stays fast; set
-// TPP_E2E_PAGES (e.g. 33554432 for a 32M-page, 128 GiB machine) to
-// reproduce the large-footprint numbers quoted in README "Performance
-// & perf gate".
 // ---------------------------------------------------------------------
 
-/** Footprint for the BM_E2E* passes, in pages. */
-std::uint64_t
-e2ePages()
-{
-    if (const char *env = std::getenv("TPP_E2E_PAGES")) {
-        char *end = nullptr;
-        const unsigned long long pages = std::strtoull(env, &end, 0);
-        if (end != env && *end == '\0' && pages > 0)
-            return pages;
-    }
-    return 1ULL << 18;
-}
+/** Footprint for the BM_E2E* passes, in pages (1 GiB). */
+constexpr std::uint64_t kE2EPages = 1ULL << 18;
 
 /** A 2:1 tiered machine with 3% headroom over `wss`, running TPP. */
 struct E2EMachine {
@@ -305,19 +283,16 @@ BM_E2EFaultReclaim(benchmark::State &state)
     // Cold pass: every access faults, and the local tier fills at 2/3
     // of the footprint, so the back third of the sweep runs against
     // active watermark reclaim and demotion.
-    const std::uint64_t pages = e2ePages();
     for (auto _ : state) {
         state.PauseTiming();
-        auto m = std::make_unique<E2EMachine>(pages);
+        auto m = std::make_unique<E2EMachine>(kE2EPages);
         state.ResumeTiming();
         m->sweep(AccessKind::Store);
     }
     state.counters["pages_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
-            static_cast<double>(pages),
+            static_cast<double>(kE2EPages),
         benchmark::Counter::kIsRate);
-    state.counters["footprint_pages"] = benchmark::Counter(
-        static_cast<double>(pages));
 }
 BENCHMARK(BM_E2EFaultReclaim)->Unit(benchmark::kMillisecond);
 
@@ -327,17 +302,14 @@ BM_E2EPromoteChurn(benchmark::State &state)
     // Steady state: the machine is warm, so each pass re-touches every
     // resident page — NUMA hint faults, promotions of CXL pages the
     // sweep keeps hitting, and the demotions they displace.
-    const std::uint64_t pages = e2ePages();
-    E2EMachine m(pages);
+    E2EMachine m(kE2EPages);
     m.sweep(AccessKind::Store);
     for (auto _ : state)
         m.sweep(AccessKind::Load);
     state.counters["pages_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
-            static_cast<double>(pages),
+            static_cast<double>(kE2EPages),
         benchmark::Counter::kIsRate);
-    state.counters["footprint_pages"] = benchmark::Counter(
-        static_cast<double>(pages));
 }
 BENCHMARK(BM_E2EPromoteChurn)->Unit(benchmark::kMillisecond);
 
@@ -348,10 +320,8 @@ BM_E2EPromoteDemoteChurn(benchmark::State &state)
     // of a footprint that does not fit the local tier, so the half just
     // promoted is exactly what the next half's promotions displace. Runs
     // with vm.ppt.enable=1 so every migration request crosses the PPT
-    // admission check with a populated history table — this is the perf
-    // gate's coverage of the new per-page admission dimension.
-    const std::uint64_t pages = e2ePages();
-    E2EMachine m(pages);
+    // admission check with a populated history table.
+    E2EMachine m(kE2EPages);
     m.kernel.sysctl().set("vm.ppt.enable", "1");
     m.sweep(AccessKind::Store);
     const std::uint64_t half = m.wss / 2;
@@ -369,8 +339,6 @@ BM_E2EPromoteDemoteChurn(benchmark::State &state)
         static_cast<double>(state.iterations()) *
             static_cast<double>(half),
         benchmark::Counter::kIsRate);
-    state.counters["footprint_pages"] = benchmark::Counter(
-        static_cast<double>(pages));
 }
 BENCHMARK(BM_E2EPromoteDemoteChurn)->Unit(benchmark::kMillisecond);
 

@@ -12,8 +12,9 @@
  *               [--epoch-ms N] [--batch PAGES] [--table ENTRIES]
  *               [--verbose]
  *
- * Unknown source names fatal() with the registered list (see
- * hotnessSourceNames()).
+ * An unknown source name exits 2 with the registered list (see
+ * hotnessSourceNames()) before anything runs; so do an unknown
+ * argument and a flag missing its value.
  */
 
 #include <cstdio>
@@ -39,40 +40,19 @@ struct Options {
     bool verbose = false;
 };
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::string::size_type start = 0;
-    while (start <= text.size()) {
-        const auto comma = text.find(',', start);
-        const auto end = comma == std::string::npos ? text.size() : comma;
-        if (end > start)
-            out.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (out.empty())
-        tpp_fatal("empty name list '%s'", text.c_str());
-    return out;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                tpp_fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+        auto next = [&] { return bench::flagValue(argc, argv, i); };
         if (arg == "--source") {
             const std::string value = next();
             opt.sources = value == "all" ? hotnessSourceNames()
-                                         : splitList(value);
+                                         : bench::splitList(value);
+            for (const std::string &source : opt.sources)
+                bench::requireChoice(arg, source, hotnessSourceNames());
         } else if (arg == "--workload") {
             opt.workload = next();
         } else if (arg == "--wss") {
@@ -92,7 +72,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
-            tpp_fatal("unknown argument '%s'", arg.c_str());
+            bench::badInvocation("unknown argument '%s'", arg.c_str());
         }
     }
     return opt;

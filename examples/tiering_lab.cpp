@@ -18,8 +18,9 @@
  *               [--csv] [--json] [--meminfo] [--verbose]
  *
  * Unknown workload or policy names fatal() with the registered list.
- * A malformed --ratio or --sysctl, or a sysctl the kernel refuses,
- * prints the diagnostic and exits 2.
+ * An unknown argument, a flag missing its value, a malformed --ratio
+ * or --sysctl, or a sysctl the kernel refuses prints the diagnostic and
+ * exits 2.
  */
 
 #include <cstdio>
@@ -50,40 +51,17 @@ struct Options {
     bool verbose = false;
 };
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::string::size_type start = 0;
-    while (start <= text.size()) {
-        const auto comma = text.find(',', start);
-        const auto end = comma == std::string::npos ? text.size() : comma;
-        if (end > start)
-            out.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (out.empty())
-        tpp_fatal("empty name list '%s'", text.c_str());
-    return out;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                tpp_fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+        auto next = [&] { return bench::flagValue(argc, argv, i); };
         if (arg == "--workload") {
-            opt.workloads = splitList(next());
+            opt.workloads = bench::splitList(next());
         } else if (arg == "--policy") {
-            opt.policies = splitList(next());
+            opt.policies = bench::splitList(next());
         } else if (arg == "--ratio") {
             opt.localFraction =
                 bench::specValueOrDie(parseRatioSpec(next()));
@@ -110,7 +88,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
-            tpp_fatal("unknown argument '%s'", arg.c_str());
+            bench::badInvocation("unknown argument '%s'", arg.c_str());
         }
     }
     return opt;

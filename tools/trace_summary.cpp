@@ -445,11 +445,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                tpp_fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+        auto next = [&] { return bench::flagValue(argc, argv, i); };
         if (arg == "--window-ms") {
             window_ns = bench::specValueOrDie(parseSpecU64(
                             next(), 1, UINT64_MAX / kMillisecond)) *
