@@ -36,10 +36,13 @@
  * flags (--tenants, --sysctl, --qps, --arrival, --slo, --topology),
  * malformed counts (--wss, --jobs, --seed, --sample-ms and PAGES:
  * base-10 digits only, via parseSpecU64), flag combinations
- * ExperimentConfig::validate() refuses, and a --sysctl the kernel does
- * not have or whose value it refuses print the diagnostic — naming the
- * bad token — and exit with status 2 (badInvocation), so scripts can
- * tell "bad invocation" from a simulator failure.
+ * ExperimentConfig::validate() refuses, an unknown workload or policy
+ * name (validate() lists the registered ones; a --tenants entry
+ * included), a --sysctl the kernel does not have or whose value it
+ * refuses, and (trace_summary) a trace file it cannot open print the
+ * diagnostic — naming the bad token — and exit with status 2
+ * (badInvocation), so scripts can tell "bad invocation" from a
+ * simulator failure.
  */
 
 #ifndef TPP_BENCH_BENCH_COMMON_HH

@@ -14,6 +14,7 @@
  */
 
 #include "bench_common.hh"
+#include "sim/stats.hh"
 
 namespace {
 

@@ -179,9 +179,35 @@ parseTopology(const std::string &spec)
     return cfg;
 }
 
+namespace {
+
+/** Refuse a name @p registry does not have, listing the ones it has. */
+template <typename Registry>
+SpecResult<void>
+checkRegistered(const Registry &registry, const char *what,
+                const std::string &name)
+{
+    if (registry.contains(name))
+        return {};
+    std::string list;
+    for (const std::string &known : registry.names())
+        list += (list.empty() ? "" : ", ") + known;
+    return specError(std::string("unknown ") + what + " (registered: " +
+                         list + ")",
+                     name);
+}
+
+} // namespace
+
 SpecResult<void>
 ExperimentConfig::validate() const
 {
+    const WorkloadRegistry &workloads = WorkloadRegistry::instance();
+    if (auto r = checkRegistered(PolicyRegistry::instance(), "policy", policy);
+        !r)
+        return r;
+    if (auto r = checkRegistered(workloads, "workload", workload); !r)
+        return r;
     if (wssPages == 0)
         return specError("config wssPages must be > 0");
     if (!std::isfinite(capacityHeadroom) || capacityHeadroom < 1.0) {
@@ -242,6 +268,9 @@ ExperimentConfig::validate() const
     for (const TenantSpec &tenant : tenants) {
         if (tenant.workload.empty())
             return specError("tenant entry has no workload name");
+        if (auto r = checkRegistered(workloads, "workload", tenant.workload);
+            !r)
+            return r;
         if (!(tenant.lowFraction >= 0.0 && tenant.lowFraction <= 1.0)) {
             return specError("tenant low out of [0, 1]",
                              std::to_string(tenant.lowFraction));

@@ -7,24 +7,6 @@
 
 namespace tpp {
 
-namespace {
-
-/** Minimal JSON string escaping (names here are ASCII identifiers). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 csvField(const std::string &value)
 {

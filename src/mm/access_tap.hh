@@ -13,8 +13,7 @@
  * pointer without depending on src/hotness; implementations must only
  * observe simulation state, never steer it — with the tap detached the
  * simulation is bit-identical (the golden fingerprints in
- * tests/test_migration_compat.cc pin this down for the default
- * configuration).
+ * tests/test_golden.cc pin this down for the default configuration).
  */
 
 #ifndef TPP_MM_ACCESS_TAP_HH

@@ -30,7 +30,7 @@
  * Everything here is accounting until a floor, budget or placement is
  * configured: with no cgroups created (or all knobs at their defaults)
  * every code path the controller touches behaves bit-identically to
- * the pre-memcg kernel, which test_migration_compat.cc pins.
+ * the pre-memcg kernel, which tests/test_golden.cc pins.
  */
 
 #ifndef TPP_MM_MEMCG_MEMCG_HH

@@ -10,7 +10,7 @@
  * no daemon, no admission control, flat per-page copy cost. In that
  * mode every demotion/promotion executes inline and the simulation is
  * bit-for-bit identical to the pre-engine kernel
- * (tests/test_migration_compat.cc pins this with golden fingerprints).
+ * (the fig rows of tests/test_golden.cc pin this).
  * The modes are fixed per run: only the queue depth and the rate
  * limit are live sysctls.
  */

@@ -25,7 +25,7 @@
  *
  * With the default config the engine is in **sync mode** and
  * reproduces the pre-engine kernel bit-for-bit; every existing figure
- * stays anchored (tests/test_migration_compat.cc).
+ * stays anchored (tests/test_golden.cc).
  */
 
 #ifndef TPP_MM_MIGRATION_MIGRATION_ENGINE_HH

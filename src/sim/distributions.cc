@@ -126,40 +126,4 @@ ZipfDistribution::buildTable()
     }
 }
 
-ExponentialDistribution::ExponentialDistribution(double mean) : mean_(mean)
-{
-    if (mean <= 0.0)
-        tpp_fatal("ExponentialDistribution requires mean > 0");
-}
-
-double
-ExponentialDistribution::operator()(Rng &rng) const
-{
-    double u;
-    do {
-        u = rng.nextDouble();
-    } while (u <= 0.0);
-    return -mean_ * std::log(u);
-}
-
-BoundedParetoDistribution::BoundedParetoDistribution(double lo, double hi,
-                                                     double alpha)
-    : lo_(lo), hi_(hi), alpha_(alpha)
-{
-    if (lo <= 0.0 || hi <= lo)
-        tpp_fatal("BoundedParetoDistribution requires 0 < lo < hi");
-    if (alpha <= 0.0)
-        tpp_fatal("BoundedParetoDistribution requires alpha > 0");
-}
-
-double
-BoundedParetoDistribution::operator()(Rng &rng) const
-{
-    const double u = rng.nextDouble();
-    const double la = std::pow(lo_, alpha_);
-    const double ha = std::pow(hi_, alpha_);
-    const double x = -(u * ha - u * la - ha) / (ha * la);
-    return std::pow(1.0 / x, 1.0 / alpha_);
-}
-
 } // namespace tpp

@@ -102,41 +102,6 @@ class ZipfDistribution
     std::vector<std::uint16_t> fast_;
 };
 
-/**
- * Exponentially distributed doubles with the given mean.
- * Used for inter-arrival jitter and lifetime draws.
- */
-class ExponentialDistribution
-{
-  public:
-    explicit ExponentialDistribution(double mean);
-
-    double operator()(Rng &rng) const;
-
-    double mean() const { return mean_; }
-
-  private:
-    double mean_;
-};
-
-/**
- * Bounded Pareto distribution over [lo, hi] with shape alpha.
- * Used for heavy-tailed object lifetimes (short-lived request pages with
- * a long tail of long-lived ones).
- */
-class BoundedParetoDistribution
-{
-  public:
-    BoundedParetoDistribution(double lo, double hi, double alpha);
-
-    double operator()(Rng &rng) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double alpha_;
-};
-
 } // namespace tpp
 
 #endif // TPP_SIM_DISTRIBUTIONS_HH

@@ -1,76 +1,9 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace tpp {
-
-Distribution::Distribution(std::size_t reservoir_capacity)
-    : capacity_(reservoir_capacity)
-{
-    reservoir_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
-void
-Distribution::sample(double value)
-{
-    if (count_ == 0) {
-        min_ = max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    count_++;
-    sum_ += value;
-    sorted_ = false;
-
-    if (reservoir_.size() < capacity_) {
-        reservoir_.push_back(value);
-    } else if (capacity_ > 0) {
-        // Deterministic reservoir replacement: overwrite slot based on a
-        // cheap hash of the running count so runs stay reproducible
-        // without threading an Rng through every stat.
-        std::uint64_t h = count_ * 0x9e3779b97f4a7c15ULL;
-        std::uint64_t slot = (h >> 33) % count_;
-        if (slot < capacity_)
-            reservoir_[slot] = value;
-    }
-}
-
-double
-Distribution::percentile(double p) const
-{
-    if (reservoir_.empty())
-        return 0.0;
-    if (p < 0.0)
-        p = 0.0;
-    if (p > 100.0)
-        p = 100.0;
-    if (!sorted_) {
-        scratch_ = reservoir_;
-        std::sort(scratch_.begin(), scratch_.end());
-        sorted_ = true;
-    }
-    // Nearest-rank method.
-    const std::size_t n = scratch_.size();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    return scratch_[rank - 1];
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = max_ = 0.0;
-    reservoir_.clear();
-    scratch_.clear();
-    sorted_ = false;
-}
 
 double
 TimeSeries::meanValue() const
@@ -116,35 +49,6 @@ TimeSeries::percentile(double p) const
     if (rank == 0)
         rank = 1;
     return values[rank - 1];
-}
-
-double
-RateMeter::update(Tick tick, double cumulative)
-{
-    if (!primed_) {
-        primed_ = true;
-        lastTick_ = tick;
-        lastValue_ = cumulative;
-        return 0.0;
-    }
-    if (tick <= lastTick_) {
-        lastValue_ = cumulative;
-        return 0.0;
-    }
-    const double delta = cumulative - lastValue_;
-    const double seconds =
-        static_cast<double>(tick - lastTick_) / static_cast<double>(kSecond);
-    lastTick_ = tick;
-    lastValue_ = cumulative;
-    return delta / seconds;
-}
-
-void
-RateMeter::reset()
-{
-    primed_ = false;
-    lastTick_ = 0;
-    lastValue_ = 0.0;
 }
 
 } // namespace tpp

@@ -1,63 +1,18 @@
 /**
  * @file
- * Statistics primitives: scalar counters, value distributions with
- * percentile queries, and time series for convergence plots.
- *
- * These are deliberately simple value types; subsystems embed them and a
- * reporter walks them at the end of a run.
+ * Time series for convergence plots: a deliberately simple value type
+ * that a bench fills during a run and summarises at the end.
  */
 
 #ifndef TPP_SIM_STATS_HH
 #define TPP_SIM_STATS_HH
 
-#include <algorithm>
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "sim/types.hh"
 
 namespace tpp {
-
-/**
- * Streaming scalar distribution: tracks count/sum/min/max plus a sample
- * reservoir for percentile estimation.
- */
-class Distribution
-{
-  public:
-    /** @param reservoir_capacity max retained samples for percentiles. */
-    explicit Distribution(std::size_t reservoir_capacity = 4096);
-
-    /** Record one observation. */
-    void sample(double value);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double minValue() const { return count_ ? min_ : 0.0; }
-    double maxValue() const { return count_ ? max_ : 0.0; }
-
-    /**
-     * @param p percentile in [0, 100]
-     * @return the p-th percentile of the retained reservoir (nearest-rank),
-     *         or 0 when empty.
-     */
-    double percentile(double p) const;
-
-    void reset();
-
-  private:
-    std::size_t capacity_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    // Reservoir sampling state (algorithm R with deterministic stride).
-    std::vector<double> reservoir_;
-    mutable std::vector<double> scratch_;
-    mutable bool sorted_ = false;
-};
 
 /**
  * (tick, value) series, e.g. promotion rate over time for Fig 17/18.
@@ -93,27 +48,6 @@ class TimeSeries
 
   private:
     std::vector<Point> points_;
-};
-
-/**
- * Rate meter: turns monotonically growing counters into per-interval
- * rates by remembering the previous reading.
- */
-class RateMeter
-{
-  public:
-    /**
-     * Feed the current cumulative value at `tick`.
-     * @return rate in units/second since the previous call (0 on first).
-     */
-    double update(Tick tick, double cumulative);
-
-    void reset();
-
-  private:
-    bool primed_ = false;
-    Tick lastTick_ = 0;
-    double lastValue_ = 0.0;
 };
 
 } // namespace tpp

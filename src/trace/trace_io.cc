@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -63,21 +64,27 @@ traceEventFromName(const std::string &name)
     tpp_fatal("unknown trace event name '%s'", name.c_str());
 }
 
-namespace {
-
-/** Escape the few characters our identifiers could smuggle in. */
 std::string
 jsonEscape(const std::string &text)
 {
     std::string out;
     out.reserve(text.size());
     for (char c : text) {
+        if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out += buf;
+            continue;
+        }
         if (c == '"' || c == '\\')
             out.push_back('\\');
         out.push_back(c);
     }
     return out;
 }
+
+namespace {
 
 const char *
 pageTypeName(std::uint8_t type)
@@ -136,6 +143,12 @@ findString(const std::string &line, const std::string &key,
     std::string value;
     value.reserve(raw.size() - 2);
     for (std::size_t i = 1; i + 1 < raw.size(); ++i) {
+        if (raw[i] == '\\' && raw[i + 1] == 'u' && i + 6 < raw.size()) {
+            value.push_back(static_cast<char>(
+                std::strtoul(raw.substr(i + 2, 4).c_str(), nullptr, 16)));
+            i += 5;
+            continue;
+        }
         if (raw[i] == '\\' && i + 2 < raw.size())
             i++;
         value.push_back(raw[i]);

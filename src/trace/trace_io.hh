@@ -31,6 +31,13 @@
 
 namespace tpp {
 
+/**
+ * @p text escaped for a JSON string: quote and backslash get a
+ * backslash, control characters become \u00XX. Every JSON writer in the
+ * tree (trace JSONL, result JSON, trace_summary --json) uses this one.
+ */
+std::string jsonEscape(const std::string &text);
+
 /** Write one tracepoint record as a JSONL "event" line. */
 void writeTraceEventJsonl(std::ostream &out, const TraceRecord &record,
                           const std::string &workload,

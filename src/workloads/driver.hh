@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "workloads/arrival.hh"
 #include "workloads/latency.hh"

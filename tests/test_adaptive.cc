@@ -5,9 +5,6 @@
  * Unit half: the window objective is a free function, so its weighting,
  * the SLO sentinel and the penalty terms are pinned directly.
  *
- * Golden half: the mere presence of the subsystem leaves the hotness
- * baseline deterministic and its adaptive counters silent.
- *
  * Convergence half: on a stationary workload the hill climber must
  * actually move knobs, then park (adaptive_settled) rather than oscillate.
  */
@@ -80,30 +77,6 @@ TEST(AdaptiveScore, WeightsScaleLinearly)
     EXPECT_DOUBLE_EQ(adaptiveScore(m, cfg), base - 0.5);
 }
 
-// ---- golden-fingerprint pins ---------------------------------------
-
-/** Hash of every vmstat counter. */
-std::uint64_t
-vmHash(const VmStat &vmstat)
-{
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < kNumVmCounters; ++i)
-        sum = sum * 1000003u + vmstat.get(static_cast<Vm>(i));
-    return sum;
-}
-
-void
-expectAdaptiveSilent(const VmStat &vmstat, const char *tag)
-{
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveWindow), 0u) << tag;
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveTune), 0u) << tag;
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveRevert), 0u) << tag;
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveSettled), 0u) << tag;
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveWake), 0u) << tag;
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveFiltered), 0u) << tag;
-    EXPECT_EQ(vmstat.get(Vm::AdaptiveFlapBias), 0u) << tag;
-}
-
 /** Test-scale config; the tag-selected policy/workload are the knobs. */
 ExperimentConfig
 smallConfig(const char *policy, const char *workload = "cache1")
@@ -117,17 +90,6 @@ smallConfig(const char *policy, const char *workload = "cache1")
     cfg.seed = 7;
     cfg.migration = MigrationConfig::asyncEngine();
     return cfg;
-}
-
-TEST(AdaptiveGolden, HotnessBaselineIsDeterministicWithAdaptiveLinked)
-{
-    // hotness never touches the adaptive path; two identical runs must
-    // stay bit-identical with the subsystem linked into the binary.
-    const ExperimentResult a = runExperiment(smallConfig("hotness"));
-    const ExperimentResult b = runExperiment(smallConfig("hotness"));
-    EXPECT_EQ(a.throughput, b.throughput);
-    EXPECT_EQ(vmHash(a.vmstat), vmHash(b.vmstat));
-    expectAdaptiveSilent(a.vmstat, "hotness");
 }
 
 // ---- convergence ----------------------------------------------------

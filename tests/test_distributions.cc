@@ -232,49 +232,5 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(name);
     });
 
-TEST(Exponential, MeanConverges)
-{
-    Rng rng(6);
-    ExponentialDistribution exp_dist(42.0);
-    double sum = 0.0;
-    const int n = 200000;
-    for (int i = 0; i < n; ++i)
-        sum += exp_dist(rng);
-    EXPECT_NEAR(sum / n, 42.0, 1.0);
-}
-
-TEST(Exponential, AlwaysPositive)
-{
-    Rng rng(7);
-    ExponentialDistribution exp_dist(1.0);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_GT(exp_dist(rng), 0.0);
-}
-
-TEST(BoundedPareto, StaysInBounds)
-{
-    Rng rng(8);
-    BoundedParetoDistribution pareto(1.0, 100.0, 1.5);
-    for (int i = 0; i < 20000; ++i) {
-        const double v = pareto(rng);
-        EXPECT_GE(v, 1.0);
-        EXPECT_LE(v, 100.0 + 1e-9);
-    }
-}
-
-TEST(BoundedPareto, HeavyTailSkewsLow)
-{
-    Rng rng(9);
-    BoundedParetoDistribution pareto(1.0, 1000.0, 2.0);
-    int low = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        if (pareto(rng) < 10.0)
-            low++;
-    }
-    // With alpha=2 the vast majority of mass sits near the low bound.
-    EXPECT_GT(low, n * 9 / 10);
-}
-
 } // namespace
 } // namespace tpp

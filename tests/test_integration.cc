@@ -165,5 +165,32 @@ TEST(Integration, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.localTrafficShare, b.localTrafficShare);
 }
 
+// The headline figure shapes must also hold when the full asynchronous,
+// transactional engine replaces the sync mode: TPP stays close to
+// all-local (the paper's central claim) and keeps beating default
+// Linux, which in turn beats NUMA Balancing on cache-like workloads
+// (fig 19 ordering).
+TEST(MigrationAsyncShape, HeadlineOrderingHolds)
+{
+    auto run = [](const char *policy) {
+        ExperimentConfig cfg = smallConfig("cache1", policy, "1:4");
+        cfg.migration = MigrationConfig::asyncEngine();
+        return runExperiment(cfg);
+    };
+
+    const double tpp16 = run("tpp").throughput;
+    const double linux16 = run("linux").throughput;
+    const double numa19 = run("numa-balancing").throughput;
+    const double local = allLocalThroughput("cache1");
+
+    // TPP close to all-local (§6.2 reports 1-3 % for the sync model;
+    // the async engine adds queueing delay between candidate selection
+    // and the actual move, so allow a slightly wider band here).
+    EXPECT_GT(tpp16, 0.85 * local);
+    // Ordering: TPP > default Linux > NUMA Balancing (fig 16/19).
+    EXPECT_GT(tpp16, linux16);
+    EXPECT_GT(linux16, numa19);
+}
+
 } // namespace
 } // namespace tpp

@@ -175,6 +175,14 @@ TEST(Export, JsonContainsCountersAndSamples)
     EXPECT_NE(text.find("\"pgfault\": 7"), std::string::npos);
     EXPECT_NE(text.find("\"samples\": ["), std::string::npos);
     EXPECT_NE(text.find("\"workload\": \"cache1\""), std::string::npos);
+
+    // Control characters are escaped, never written raw.
+    r.error = "line one\nline two";
+    std::ostringstream failed;
+    writeResultJson(failed, r);
+    EXPECT_NE(failed.str().find("\"error\": \"line one\\u000aline two\""),
+              std::string::npos)
+        << failed.str();
 }
 
 TEST(TraceIo, RecorderCapturesStream)

@@ -2,9 +2,8 @@
  * @file
  * Open-loop traffic layer tests: arrival-process determinism and rate
  * accuracy, the latency histogram, ExperimentConfig::validate(), the
- * driver's queueing behaviour under an offered rate, and the golden
- * fingerprints that pin closed-loop results bit-identical across the
- * spec/open-loop API redesign.
+ * and the driver's queueing behaviour under an offered rate. The
+ * closed- and open-loop fingerprints are rows of test_golden.cc.
  */
 
 #include <gtest/gtest.h>
@@ -294,6 +293,16 @@ TEST(Validate, RejectionTable)
              c.tenants = *parseTenants("web;churn;dwh");
          },
          "zero-page working set"},
+        {"unknown policy", [](ExperimentConfig &c) { c.policy = "nope"; },
+         "unknown policy (registered: "},
+        {"unknown workload",
+         [](ExperimentConfig &c) { c.workload = "nope"; },
+         "unknown workload (registered: "},
+        {"unknown tenant workload",
+         [](ExperimentConfig &c) {
+             c.tenants = *parseTenants("web;nope");
+         },
+         "(at 'nope')"},
     };
     for (const Case &c : cases) {
         ExperimentConfig cfg = tinyConfig();
@@ -391,97 +400,6 @@ TEST(OpenLoopRun, TenantSloFlowsIntoMemcg)
     // Headline merge covers the one open-loop tenant.
     ASSERT_TRUE(r.openLoop.enabled);
     EXPECT_EQ(r.openLoop.requests, victim.openLoop.requests);
-}
-
-// ---------------------------------------------------------------------
-// Golden fingerprints: the closed-loop numbers this redesign must not
-// move. Captured from the pre-open-loop tree; %.17g exact.
-// ---------------------------------------------------------------------
-
-TEST(GoldenFingerprint, SingleWorkloadClosedLoop)
-{
-    setLogVerbose(false);
-    ExperimentConfig cfg;
-    cfg.workload = "web";
-    cfg.policy = "tpp";
-    cfg.wssPages = 4096;
-    cfg.localFraction = 0.5;
-    cfg.runUntil = 6 * kSecond;
-    cfg.measureFrom = 3 * kSecond;
-    const ExperimentResult r = runExperiment(cfg);
-
-    EXPECT_EQ(r.throughput, 642830.21904824418);
-    EXPECT_EQ(r.meanAccessLatencyNs, 82.74894846040668);
-    EXPECT_EQ(r.vmstat.get(Vm::PgPromoteSuccess), 1615u);
-    EXPECT_FALSE(r.openLoop.enabled);
-}
-
-TEST(GoldenFingerprint, TenantClosedLoop)
-{
-    setLogVerbose(false);
-    ExperimentConfig cfg;
-    cfg.policy = "tpp";
-    cfg.wssPages = 4096;
-    cfg.localFraction = 0.4;
-    cfg.runUntil = 6 * kSecond;
-    cfg.measureFrom = 3 * kSecond;
-    cfg.tenants = *parseTenants("cache1:low=0.5;churn");
-    const ExperimentResult r = runExperiment(cfg);
-
-    EXPECT_EQ(r.throughput, 1492679.134195684);
-    EXPECT_EQ(r.meanAccessLatencyNs, 114.87439717567175);
-    ASSERT_EQ(r.tenants.size(), 2u);
-    EXPECT_EQ(r.tenants[0].throughput, 843638.69766707905);
-    EXPECT_EQ(r.tenants[0].meanAccessLatencyNs, 96.103095993565432);
-    EXPECT_EQ(r.tenants[0].pagesLocal, 659u);
-    EXPECT_EQ(r.tenants[0].pagesTotal, 1571u);
-    EXPECT_EQ(r.tenants[1].throughput, 649040.43652860483);
-    EXPECT_EQ(r.tenants[1].meanAccessLatencyNs, 139.27323423578116);
-    EXPECT_EQ(r.tenants[1].pagesLocal, 978u);
-    EXPECT_EQ(r.tenants[1].pagesTotal, 2553u);
-}
-
-TEST(GoldenFingerprint, SingleWorkloadHarvest)
-{
-    // The single-workload outputs the harvest computes beyond the
-    // headline numbers: hot-set recall, the open-loop tail summary, the
-    // Chameleon profile and the sampler series. Captured with %.17g
-    // before the single-workload and tenant loops were merged.
-    setLogVerbose(false);
-    ExperimentConfig cfg;
-    cfg.workload = "web";
-    cfg.policy = "tpp";
-    cfg.wssPages = 4096;
-    cfg.localFraction = 0.5;
-    cfg.runUntil = 6 * kSecond;
-    cfg.measureFrom = 3 * kSecond;
-
-    ExperimentConfig open = cfg;
-    open.measureHotness = true;
-    open.openLoop.qps = 2e5;
-    open.openLoop.sloP99Us = 50.0;
-    const ExperimentResult o = runExperiment(open);
-    EXPECT_EQ(o.throughput, 200189.78297693058);
-    EXPECT_EQ(o.meanAccessLatencyNs, 86.326363122650022);
-    EXPECT_EQ(o.hotSetRecall, 0.65312190287413285);
-    EXPECT_EQ(o.hotSetPages, 2018u);
-    ASSERT_TRUE(o.openLoop.enabled);
-    EXPECT_EQ(o.openLoop.requests, 600569u);
-    EXPECT_EQ(o.openLoop.p99Ns, 5761.6746245058985);
-    EXPECT_EQ(o.openLoop.p999Ns, 77328.974769234657);
-    EXPECT_EQ(o.openLoop.sloAttainment, 0.99775046664080236);
-    EXPECT_EQ(o.openLoop.goodputQps, 199739.44938195343);
-    EXPECT_EQ(o.openLoop.meanQueueDepth, 0.85879602862715931);
-    EXPECT_TRUE(o.tenants.empty());
-
-    ExperimentConfig profiled = cfg;
-    profiled.withChameleon = true;
-    profiled.sampleSeries = true;
-    const ExperimentResult c = runExperiment(profiled);
-    EXPECT_EQ(c.chameleonIntervals.size(), 6u);
-    EXPECT_EQ(c.chameleonHotFraction, 0.19561638712425625);
-    EXPECT_EQ(c.series.size(), 60u);
-    EXPECT_TRUE(c.tenants.empty());
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the statistics primitives.
+ * Unit tests for TimeSeries, the statistics primitive the benches use.
  */
 
 #include <gtest/gtest.h>
@@ -9,69 +9,6 @@
 
 namespace tpp {
 namespace {
-
-TEST(Distribution, BasicMoments)
-{
-    Distribution d;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.sum(), 10.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.minValue(), 1.0);
-    EXPECT_DOUBLE_EQ(d.maxValue(), 4.0);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.percentile(50), 0.0);
-}
-
-TEST(Distribution, PercentilesOnSmallSet)
-{
-    Distribution d;
-    for (int i = 1; i <= 100; ++i)
-        d.sample(i);
-    EXPECT_DOUBLE_EQ(d.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(d.percentile(95), 95.0);
-    EXPECT_DOUBLE_EQ(d.percentile(100), 100.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0), 1.0);
-    // Out-of-range percentiles clamp.
-    EXPECT_DOUBLE_EQ(d.percentile(-5), 1.0);
-    EXPECT_DOUBLE_EQ(d.percentile(200), 100.0);
-}
-
-TEST(Distribution, ReservoirCapsRetention)
-{
-    Distribution d(16);
-    for (int i = 0; i < 10000; ++i)
-        d.sample(i);
-    EXPECT_EQ(d.count(), 10000u);
-    // Percentiles still work off the reservoir.
-    EXPECT_GT(d.percentile(50), 0.0);
-}
-
-TEST(Distribution, ResetClears)
-{
-    Distribution d;
-    d.sample(5.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.maxValue(), 0.0);
-}
-
-TEST(Distribution, NegativeValues)
-{
-    Distribution d;
-    d.sample(-3.0);
-    d.sample(-1.0);
-    EXPECT_DOUBLE_EQ(d.minValue(), -3.0);
-    EXPECT_DOUBLE_EQ(d.maxValue(), -1.0);
-    EXPECT_DOUBLE_EQ(d.mean(), -2.0);
-}
 
 TEST(TimeSeries, MeanMaxPercentile)
 {
@@ -100,35 +37,6 @@ TEST(TimeSeries, ClearEmpties)
     ts.record(1, 1.0);
     ts.clear();
     EXPECT_TRUE(ts.empty());
-}
-
-TEST(RateMeter, FirstSampleIsZero)
-{
-    RateMeter meter;
-    EXPECT_DOUBLE_EQ(meter.update(kSecond, 100.0), 0.0);
-}
-
-TEST(RateMeter, ComputesPerSecondRate)
-{
-    RateMeter meter;
-    meter.update(0, 0.0);
-    EXPECT_DOUBLE_EQ(meter.update(kSecond, 500.0), 500.0);
-    EXPECT_DOUBLE_EQ(meter.update(3 * kSecond, 1500.0), 500.0);
-}
-
-TEST(RateMeter, NonAdvancingTickYieldsZero)
-{
-    RateMeter meter;
-    meter.update(kSecond, 10.0);
-    EXPECT_DOUBLE_EQ(meter.update(kSecond, 20.0), 0.0);
-}
-
-TEST(RateMeter, ResetForgetsHistory)
-{
-    RateMeter meter;
-    meter.update(kSecond, 10.0);
-    meter.reset();
-    EXPECT_DOUBLE_EQ(meter.update(2 * kSecond, 100.0), 0.0);
 }
 
 } // namespace

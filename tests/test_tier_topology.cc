@@ -3,8 +3,8 @@
  * The explicit tier hierarchy end to end: --topology spec parsing and
  * its distance rule, TierHierarchy ranks and demotion chains on parsed
  * machines, multi-socket residency accounting, chained CXL -> CXL-far
- * demotion in a full 3-tier run, and golden fingerprints pinning the
- * 3-tier and dual-socket configs under linux and tpp.
+ * demotion in a full 3-tier run. The 3-tier and dual-socket
+ * fingerprints under linux and tpp are rows of test_golden.cc.
  */
 
 #include <cmath>
@@ -168,72 +168,6 @@ TEST(TierTopology, ThreeTierRunChainsDemotionsDownward)
     // The chain keeps the middle tier off the swap device entirely.
     EXPECT_EQ(r.vmstat.get(Vm::PswpOut), 0u);
 }
-
-// ---------------------------------------------------------------------
-// Golden fingerprints: the multi-tier topologies must stay as
-// deterministic as the canned two-node machines. Captured from the
-// tree that introduced the tier hierarchy; a change here means
-// multi-tier behaviour diverged.
-
-/** Counter count covered by the historical fingerprint hash. */
-constexpr std::size_t kSeedVmCounters = 35;
-
-std::uint64_t
-seedVmHash(const VmStat &vmstat)
-{
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < kSeedVmCounters; ++i)
-        sum = sum * 1000003u + vmstat.get(static_cast<Vm>(i));
-    return sum;
-}
-
-struct TierGoldenCase {
-    const char *tag;
-    const char *topology;
-    const char *policy;
-    double throughput;
-    double meanLatencyNs;
-    std::uint64_t vmsum;
-};
-
-// gtest names each case after its printed parameter. Without a printer
-// that is a byte dump of the struct, whose leading pointers tie the test
-// name to the binary's layout; the tag is stable.
-void
-PrintTo(const TierGoldenCase &c, std::ostream *os)
-{
-    *os << c.tag;
-}
-
-const TierGoldenCase kTierGolden[] = {
-    {"three_tier_linux", kThreeTier, "linux",
-     622207.88568627601, 166.94136752960515, 3235183705022800817ull},
-    {"three_tier_tpp", kThreeTier, "tpp",
-     772102.93216927908, 89.555046479960282, 8102812937963595728ull},
-    {"dual_socket_linux", kDualSocket, "linux",
-     741071.02862659865, 103.2713631037433, 14576798485097781451ull},
-    {"dual_socket_tpp", kDualSocket, "tpp",
-     781817.74948714487, 85.628501935122983, 4176142575668096305ull},
-};
-
-class TierTopologyGolden
-    : public ::testing::TestWithParam<TierGoldenCase> {};
-
-TEST_P(TierTopologyGolden, FingerprintIsStable)
-{
-    const TierGoldenCase &c = GetParam();
-    const ExperimentResult r =
-        runExperiment(tierConfig(c.topology, c.policy));
-    EXPECT_EQ(r.throughput, c.throughput) << c.tag;
-    EXPECT_EQ(r.meanAccessLatencyNs, c.meanLatencyNs) << c.tag;
-    EXPECT_EQ(seedVmHash(r.vmstat), c.vmsum) << c.tag;
-}
-
-INSTANTIATE_TEST_SUITE_P(Golden, TierTopologyGolden,
-                         ::testing::ValuesIn(kTierGolden),
-                         [](const auto &info) {
-                             return std::string(info.param.tag);
-                         });
 
 } // namespace
 } // namespace tpp

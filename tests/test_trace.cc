@@ -276,7 +276,8 @@ TEST(TraceIo, EventRoundTripsThroughJsonl)
     std::stringstream ss;
     writeTraceEventJsonl(ss, page, "web", "tpp");
     writeTraceEventJsonl(ss, bare, "web", "tpp");
-    writeTraceEventJsonl(ss, typed, "dwh", "linux");
+    // A quote or a newline in a tag is escaped and keeps the line whole.
+    writeTraceEventJsonl(ss, typed, "d\"w\nh", "linux");
 
     const std::vector<TaggedTraceRecord> back = readTraceEventsJsonl(ss);
     ASSERT_EQ(back.size(), 3u);
@@ -298,7 +299,7 @@ TEST(TraceIo, EventRoundTripsThroughJsonl)
     EXPECT_EQ(back[1].record.type, kTraceNoType);
     EXPECT_EQ(back[1].record.aux, 900u);
 
-    EXPECT_EQ(back[2].workload, "dwh");
+    EXPECT_EQ(back[2].workload, "d\"w\nh");
     EXPECT_EQ(back[2].record.type,
               static_cast<std::uint8_t>(PageType::File));
     EXPECT_EQ(back[2].record.hasPage, 0u);

@@ -33,7 +33,6 @@
 
 #include "bench_common.hh"
 #include "harness/table.hh"
-#include "sim/logging.hh"
 #include "trace/summary.hh"
 #include "trace/trace_io.hh"
 
@@ -205,26 +204,6 @@ printAdaptiveSection(const TraceSummary &summary)
         table.print();
     }
     std::printf("\n");
-}
-
-/** Minimal JSON string escape: the tags we emit are workload/policy
- *  names, but a stray quote must not corrupt the document. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 void
@@ -476,7 +455,8 @@ main(int argc, char **argv)
             }
             std::ifstream in(path);
             if (!in)
-                tpp_fatal("cannot open trace file '%s'", path.c_str());
+                bench::badInvocation("cannot open trace file '%s'",
+                                     path.c_str());
             auto part = readTraceEventsJsonl(in);
             tagged.insert(tagged.end(), part.begin(), part.end());
         }
